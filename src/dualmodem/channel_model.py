@@ -48,40 +48,42 @@ def apply(buf: IqBuffer, params: ChannelParams) -> IqBuffer:
     """Run a buffer through the impairment channel.
 
     The output is extended by the (rounded-up) delay so no signal falls off
-    the end; rotation uses absolute output-sample time.
+    the end; rotation uses absolute output-sample time, and with f_d = 0 it
+    is a single phasor.  The noise is added to the output in place: first
+    its real draws, then its imaginary ones.
     """
     if abs(params.f_d_hz) >= buf.chip_rate_hz / 2.0:
         raise ValueError("f_d magnitude must stay below half the chip rate")
     x = buf.samples
-    n_ext = int(math.ceil(params.tau_samples))
-    out = np.zeros(x.size + n_ext, dtype=np.complex128)
-
     if params.tau_samples == 0:
-        out[:] = x
-    elif not params.fractional_delay or params.tau_samples == int(params.tau_samples):
-        d = int(params.tau_samples)
-        out[d : d + x.size] = x
+        out = x.copy()
     else:
-        d = int(math.floor(params.tau_samples))
-        frac = params.tau_samples - d
-        # Linear interpolation between neighbouring input samples.
-        shifted = (1.0 - frac) * x
-        shifted[1:] += frac * x[:-1]
-        out[d : d + x.size] = shifted
-        if d + x.size < out.size:
-            out[d + x.size] = frac * x[-1]
+        out = np.zeros(x.size + int(math.ceil(params.tau_samples)), dtype=np.complex128)
+        if not params.fractional_delay or params.tau_samples == int(params.tau_samples):
+            d = int(params.tau_samples)
+            out[d : d + x.size] = x
+        else:
+            d = int(math.floor(params.tau_samples))
+            frac = params.tau_samples - d
+            # Linear interpolation between neighbouring input samples.
+            shifted = (1.0 - frac) * x
+            shifted[1:] += frac * x[:-1]
+            out[d : d + x.size] = shifted
+            if d + x.size < out.size:
+                out[d + x.size] = frac * x[-1]
 
-    if params.f_d_hz != 0.0 or params.theta_rad != 0.0:
+    if params.f_d_hz != 0.0:
         n = np.arange(out.size)
         out *= np.exp(
             1j * (2.0 * np.pi * params.f_d_hz * n * buf.sample_period_s + params.theta_rad)
         )
+    elif params.theta_rad != 0.0:
+        out *= np.exp(1j * params.theta_rad)
 
     if params.snr_db is not None:
         rng = np.random.default_rng(params.seed)
-        sigma = noise_sigma(params.snr_db)
-        out += (sigma / math.sqrt(2.0)) * (
-            rng.standard_normal(out.size) + 1j * rng.standard_normal(out.size)
-        )
+        scale = noise_sigma(params.snr_db) / math.sqrt(2.0)
+        out.real += scale * rng.standard_normal(out.size)
+        out.imag += scale * rng.standard_normal(out.size)
 
     return IqBuffer(samples=out, sps=buf.sps, chip_rate_hz=buf.chip_rate_hz)

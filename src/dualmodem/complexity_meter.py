@@ -236,9 +236,10 @@ class RuntimeCounters:
     """Arithmetic tallies accumulated by an instrumented receiver run.
 
     Frame-sync and chip-to-symbol tallies reproduce the closed forms exactly
-    (same conventions); matched filter, FFT and differential detection are
-    effort estimates for order-of-magnitude cross-checks, since the runtime
-    may not use the counted canonical algorithm.
+    (same conventions).  Matched filter and differential detection are
+    booked per output the receivers actually form, one per chip decision,
+    at the canonical cost of each output.  The FFT tally is an effort
+    estimate, since numpy's FFT is not the counted radix-2 algorithm.
     """
 
     frame_sync_adds: int = 0

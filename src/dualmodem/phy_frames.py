@@ -208,6 +208,12 @@ def preamble_chips(layout: FrameLayout | None = None) -> np.ndarray:
     return spread_symbols(bits_to_symbols(preamble_bits(layout)))
 
 
+# The default 256-chip preamble, built once and shared read-only by the
+# framer and both receiver chains.
+PREAMBLE_CHIPS = preamble_chips()
+PREAMBLE_CHIPS.flags.writeable = False
+
+
 def build_frame(payload_bits, d_init: int = 0) -> ChipStream:
     """Assemble a frame: preamble chips + spread payload, differentially encoded.
 
@@ -217,10 +223,8 @@ def build_frame(payload_bits, d_init: int = 0) -> ChipStream:
     the last preamble chip.
     """
     payload_bits = np.asarray(payload_bits, dtype=np.uint8)
-    layout = FrameLayout(payload_bits=payload_bits.size)
-    chips = np.concatenate(
-        [preamble_chips(layout), spread_symbols(bits_to_symbols(payload_bits))]
-    )
+    FrameLayout(payload_bits=payload_bits.size)  # validates the payload length
+    chips = np.concatenate([PREAMBLE_CHIPS, spread_symbols(bits_to_symbols(payload_bits))])
     encoded = differential_encode(chips, d_init=d_init)
     return ChipStream(chips=encoded, origin="frame")
 

@@ -6,7 +6,8 @@ pre-encoding chip stream (the modulator's sign convention absorbs the
 differential encoding, so this chain has no differential decoder).  Symbol
 timing comes from the squared lag-product statistic, which is immune to
 carrier frequency and phase offsets; frame alignment from a 256-chip
-correlation against the known preamble.
+correlation against the known preamble.  The chain only reads the detector
+at the chip instants, so it forms the lag products there and nowhere else.
 """
 
 from __future__ import annotations
@@ -36,24 +37,35 @@ class PhaseDiffSignal:
     delay_samples: int
 
 
-def diff_detect(buf: IqBuffer, eps: float = DIFF_DETECT_EPS, counter=None) -> PhaseDiffSignal:
+def diff_detect(
+    buf: IqBuffer, eps: float = DIFF_DETECT_EPS, counter=None, tau: int | None = None
+) -> PhaseDiffSignal:
     """y[n] = Im(z[n] * conj(z[n - sps])) / (|z[n]| * |z[n - sps]| + eps).
 
     The imaginary part of the lag product is the sine of the phase advance
     over one chip, so y sits near +-1 at chip boundaries.  y[n] is zero for
     n < sps where no lagged sample exists.
+
+    With `tau` in [0, sps), y is formed only at the chip instants
+    tau + k*sps, one entry per instant (delay_samples 1): the result is
+    diff_detect(buf).y[tau::sps], and detect_chips(result, 0) gives the
+    decisions of detect_chips(diff_detect(buf), tau).
     """
     z = buf.samples
-    sps = buf.sps
-    if z.size <= sps:
+    lag = buf.sps
+    if z.size <= lag:
         raise ValueError("buffer must be longer than one chip")
+    if tau is not None:
+        if not 0 <= tau < lag:
+            raise ValueError("timing phase must lie in [0, sps)")
+        z, lag = z[tau::lag], 1
     y = np.zeros(z.size, dtype=np.float64)
-    prod = z[sps:] * np.conj(z[:-sps])
-    norm = np.abs(z[sps:]) * np.abs(z[:-sps]) + eps
-    y[sps:] = prod.imag / norm
+    prod = z[lag:] * np.conj(z[:-lag])
+    norm = np.abs(z[lag:]) * np.abs(z[:-lag]) + eps
+    y[lag:] = prod.imag / norm
     if counter is not None:
-        counter.tally_diff_detect(z.size - sps)
-    return PhaseDiffSignal(y=y, delay_samples=sps)
+        counter.tally_diff_detect(z.size - lag)
+    return PhaseDiffSignal(y=y, delay_samples=lag)
 
 
 def msk_timing(buf: IqBuffer, window_symbols: int = 64) -> MskTimingStat:
@@ -62,7 +74,8 @@ def msk_timing(buf: IqBuffer, window_symbols: int = 64) -> MskTimingStat:
     Squares the one-chip-lag products and averages them per intra-chip phase
     over the leading window; at the true boundary phase every squared product
     collapses to the same unit phasor, so |v| peaks there regardless of
-    carrier offset or rotation.  Ties break to the smallest phase.
+    carrier offset or rotation.  Ties break to the smallest phase.  Only the
+    averaged window's lag products are formed.
     """
     z = buf.samples
     sps = buf.sps
@@ -70,10 +83,10 @@ def msk_timing(buf: IqBuffer, window_symbols: int = 64) -> MskTimingStat:
         raise ValueError("window_symbols must be positive")
     if z.size < 2 * sps:
         raise ValueError("buffer too short for timing estimation")
-    c = (z[sps:] * np.conj(z[:-sps])) ** 2
-    n_sym = c.size // sps
-    use = min(window_symbols, n_sym)
-    v = c[: use * sps].reshape(use, sps).mean(axis=0)
+    use = min(window_symbols, (z.size - sps) // sps)
+    n = use * sps
+    c = (z[sps : sps + n] * np.conj(z[:n])) ** 2
+    v = c.reshape(use, sps).mean(axis=0)
     tau_hat = int(np.argmax(np.abs(v)))
     return MskTimingStat(
         v=v, tau_hat=tau_hat, window_used=use, complete=use >= window_symbols
@@ -105,7 +118,7 @@ def frame_sync_msk(
     """
     chips = np.asarray(chips, dtype=np.uint8)
     if reference is None:
-        reference = phy_frames.preamble_chips()
+        reference = phy_frames.PREAMBLE_CHIPS
     reference = np.asarray(reference, dtype=np.uint8)
     if chips.size < reference.size:
         return False, 0
@@ -129,30 +142,27 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     layout = phy_frames.FrameLayout(payload_bits=cfg.payload_bits)
     sps = buf.sps
 
+    report = DemodReport(mode="msk", frame_found=False)
+    if buf.samples.size < 2 * sps:
+        return report
     stat = msk_timing(buf, cfg.timing_window_symbols)
-    # One chip of leading zeros keeps the whole frame on the decision grid
+    report.timing = stat
+    y = diff_detect(buf, counter=counter, tau=stat.tau_hat)
+    # detect_chips skips the first chip instant, which has no lagged sample.
+    # Deciding it anyway, as 0, keeps the whole frame on the decision grid
     # when the timing phase lands one sample early (tau_hat = truth - 1 mod
-    # sps shifts the chip stream forward by one; without the pad the frame
+    # sps shifts the chip stream forward by one; without that chip the frame
     # would overrun the buffer tail and be dropped).
-    padded = IqBuffer(
-        samples=np.concatenate([np.zeros(sps, dtype=np.complex128), buf.samples]),
-        sps=sps,
-        chip_rate_hz=buf.chip_rate_hz,
-    )
-    y = diff_detect(padded, counter=counter)
-    chips = detect_chips(y, stat, counter=counter)
+    chips = np.concatenate((np.zeros(1, dtype=np.uint8), detect_chips(y, 0, counter=counter)))
     found, c0 = frame_sync_msk(chips, threshold=cfg.sync_threshold, counter=counter)
-    if found and c0 + layout.total_chips > chips.size:
-        found = False
-
-    report = DemodReport(mode="msk", frame_found=found, timing=stat)
-    if not found:
+    if not found or c0 + layout.total_chips > chips.size:
         return report
 
+    report.frame_found = True
     frame = chips[c0 : c0 + layout.total_chips]
     report.frame_start = stat.tau_hat + (c0 - 1) * sps
     report.preamble_match_count = preamble_match_count(
-        frame[: layout.preamble_chips], phy_frames.preamble_chips()
+        frame[: layout.preamble_chips], phy_frames.PREAMBLE_CHIPS
     )
     symbols, _ = phy_frames.despread_stream(frame[layout.preamble_chips :], counter)
     report.payload_bits = phy_frames.symbols_to_bits(symbols)

@@ -1,9 +1,10 @@
 """Coherent O-QPSK receiver chain.
 
-Stages: half-sine matched filter, symbol timing, power-of-four carrier
-estimation (frequency from the FFT peak of z^4, phase from the angle at that
-bin), offset compensation, preamble correlation with phase-ambiguity
-resolution, chip slicing and despreading.
+Stages: symbol timing, power-of-four carrier estimation (frequency from the
+FFT peak of z^4, phase from the angle at that bin), offset compensation when
+the estimate passes its confidence gate, half-sine matched filtering
+evaluated only at the chip decision instants, preamble correlation with
+phase-ambiguity resolution, chip slicing and despreading.
 
 Timing notes.  The textbook early-late gate (elg_timing) tracks the magnitude
 peaks of a pulse train and is exposed and tested as a standalone
@@ -46,18 +47,47 @@ RB_CONFIDENCE_MIN = 5.5
 SYNC_PEAK_MARGIN = 0.05
 
 
-def matched_filter(buf: IqBuffer, counter=None) -> IqBuffer:
+def matched_filter(buf: IqBuffer, counter=None, phase: int | None = None):
     """Convolve with the half-sine chip pulse (full overlap, len + N - 1 out).
 
     For a pulse starting at input index s the filtered peak lands at output
     index s + N exactly; equivalently each chip's decision instant moves from
     its raw boundary b to b + sps.
+
+    With `phase` in [0, sps), only the chip decision grid phase + sps :: sps
+    of that output is computed, and it comes back as a plain array with one
+    sample per chip instead of an IqBuffer: N multiply-adds per decision
+    rather than per sample.
     """
-    taps = half_sine_taps(2 * buf.sps)
-    out = np.convolve(buf.samples, taps)
+    sps = buf.sps
+    taps = half_sine_taps(2 * sps)
+    z = buf.samples
+    if phase is None:
+        out = np.convolve(z, taps)
+    else:
+        if not 0 <= phase < sps:
+            raise ValueError("phase must lie in [0, sps)")
+        n_out = len(range(phase + sps, z.size + taps.size - 1, sps))
+        # Row k holds input samples phase + 1 + (k-1)*sps .. phase + k*sps,
+        # zero outside the buffer; grid output k is rows k and k+1 dotted
+        # with the reversed taps.  einsum keeps the products in numpy's own
+        # loops: a BLAS matrix-vector product this size starts BLAS worker
+        # threads and touches BLAS buffer memory.
+        lead = sps - 1 - phase
+        padded = np.empty((n_out + 1) * sps, dtype=np.complex128)
+        padded[:lead] = 0.0
+        padded[lead : lead + z.size] = z
+        padded[lead + z.size :] = 0.0
+        rows = padded.reshape(n_out + 1, sps)
+        rev = taps[::-1]
+        out = np.einsum("kp,p->k", rows[:-1], rev[:sps]) + np.einsum(
+            "kp,p->k", rows[1:], rev[sps:]
+        )
     if counter is not None:
         counter.tally_matched_filter(out.size, taps.size)
-    return IqBuffer(samples=out, sps=buf.sps, chip_rate_hz=buf.chip_rate_hz)
+    if phase is not None:
+        return out
+    return IqBuffer(samples=out, sps=sps, chip_rate_hz=buf.chip_rate_hz)
 
 
 def mf_group_delay(n_pulse: int) -> float:
@@ -182,9 +212,15 @@ def compensate(buf: IqBuffer, estimate: CarrierEstimate) -> IqBuffer:
 
 def preamble_reference_symbols(d_init: int = 0) -> np.ndarray:
     """The 128 complex QPSK symbols of the encoded, sign-adjusted preamble."""
-    enc = phy_frames.differential_encode(phy_frames.preamble_chips(), d_init=d_init)
+    enc = phy_frames.differential_encode(phy_frames.PREAMBLE_CHIPS, d_init=d_init)
     amps = chip_amplitudes(enc)
     return amps[0::2] + 1j * amps[1::2]
+
+
+# The reference for each differential-encoder seed d_init, built once.
+PREAMBLE_REFERENCE = tuple(preamble_reference_symbols(d) for d in (0, 1))
+for _ref in PREAMBLE_REFERENCE:
+    _ref.flags.writeable = False
 
 
 def _preamble_peak(symbols, reference, counter=None):
@@ -214,7 +250,7 @@ def frame_sync_qpsk(
     residual rotation is read off the correlation angle downstream.
     """
     if reference is None:
-        reference = preamble_reference_symbols()
+        reference = PREAMBLE_REFERENCE[0]
     peak, lag, _ = _preamble_peak(symbols, reference, counter=counter)
     return peak >= threshold, lag
 
@@ -250,31 +286,23 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # power-of-four spectrum degenerates to noise and its argmax is a random
     # bin; correcting with a bogus tone is strictly worse than correcting
     # with nothing (the data-aided correlation angle below absorbs any
-    # constant phase).  Only a statistically significant peak is applied.
-    applied = est
-    if not est.peak_to_median >= RB_CONFIDENCE_MIN:
-        applied = CarrierEstimate(
-            f_d_hat_hz=0.0,
-            theta_hat_rad=0.0,
-            n_fft=est.n_fft,
-            peak_magnitude=est.peak_magnitude,
-            peak_to_median=est.peak_to_median,
-        )
-    comp = compensate(buf, applied)
-    filtered = matched_filter(comp, counter=counter)
+    # constant phase).  Only a statistically significant peak is applied;
+    # otherwise the buffer is filtered as it is, which is what compensating
+    # by a zero estimate would give.
+    comp = compensate(buf, est) if est.peak_to_median >= RB_CONFIDENCE_MIN else buf
     # Chip-rate decision samples: chip r's filtered peak sits one chip after
     # its raw boundary phi0 + (r+1)*sps.  The grid starts one chip early so
     # that a timing phase one sample under the truth (tau_hat = truth - 1
     # mod sps, which advances every decision by a chip) still leaves the
     # whole frame inside the slice.
-    x = filtered.samples[phi0 + sps :: sps]
+    x = matched_filter(comp, counter=counter, phase=phi0)
     if x.size < 2 * layout.preamble_chips // phy_frames.CHIPS_PER_SYMBOL:
         return report
 
     # The preamble correlator runs at symbol rate; pairing consecutive
     # boundary samples re-forms QPSK symbols.  Both chip parities of the
     # frame start are tried and the stronger peak wins.
-    reference = preamble_reference_symbols(cfg.d_init)
+    reference = PREAMBLE_REFERENCE[cfg.d_init]
     n_pairs0 = x.size // 2
     u0 = x[0 : 2 * n_pairs0 : 2] + x[1 : 2 * n_pairs0 : 2]
     n_pairs1 = (x.size - 1) // 2
@@ -305,7 +333,7 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     report.frame_found = True
     report.frame_start = phi0 + (r0 - 1) * sps
     report.preamble_match_count = preamble_match_count(
-        source[: layout.preamble_chips], phy_frames.preamble_chips()
+        source[: layout.preamble_chips], phy_frames.PREAMBLE_CHIPS
     )
     symbols, _ = phy_frames.despread_stream(source[layout.preamble_chips :], counter)
     report.payload_bits = phy_frames.symbols_to_bits(symbols)

@@ -13,6 +13,7 @@ CSV.  Per-point statistics are accumulated as integers and divided once.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -243,22 +244,34 @@ def _sweep_point_auto(cfg: SweepConfig, snr_db: float, snr_index: int) -> SweepP
 
 
 def ber_sweep(cfg: SweepConfig, workers: int = 0) -> SweepResult:
-    """Run the whole SNR grid; workers > 1 parallelizes fixed-mode points."""
-    points = []
-    grid = cfg.snr_grid()
-    for snr_index, snr_db in enumerate(grid):
-        snr = float(snr_db)
-        if cfg.mode == MODE_AUTO:
-            points.append(_sweep_point_auto(cfg, snr, snr_index))
-            continue
-        tasks = [(cfg, snr, snr_index, p, cfg.mode) for p in range(cfg.packets_per_point)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_run_packet_task, tasks, chunksize=64))
-        else:
-            records = [_run_packet_task(t) for t in tasks]
-        points.append(_aggregate_point(cfg, snr, records, cfg.mode))
+    """Run the whole SNR grid; workers > 1 parallelizes fixed-mode sweeps."""
+    grid = [float(snr_db) for snr_db in cfg.snr_grid()]
+    if cfg.mode == MODE_AUTO:
+        points = [_sweep_point_auto(cfg, snr, snr_index) for snr_index, snr in enumerate(grid)]
+        return SweepResult(config=cfg, points=tuple(points))
+
+    tasks = (
+        (cfg, snr, snr_index, p, cfg.mode)
+        for snr_index, snr in enumerate(grid)
+        for p in range(cfg.packets_per_point)
+    )
+    if workers > 1:
+        # One pool for the whole sweep; map keeps task order.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            points = _points_in_order(cfg, grid, pool.map(_run_packet_task, tasks, chunksize=64))
+    else:
+        points = _points_in_order(cfg, grid, map(_run_packet_task, tasks))
     return SweepResult(config=cfg, points=tuple(points))
+
+
+def _points_in_order(cfg: SweepConfig, grid: list[float], records) -> list[SweepPoint]:
+    """Aggregate a grid-ordered record stream one point at a time, so only
+    one point's records are held at once."""
+    records = iter(records)
+    return [
+        _aggregate_point(cfg, snr, list(itertools.islice(records, cfg.packets_per_point)), cfg.mode)
+        for snr in grid
+    ]
 
 
 def _fmt(x) -> str:

@@ -15,9 +15,16 @@ from dualmodem.rx_msk import (
     frame_sync_msk,
     msk_timing,
 )
+from dualmodem.rx_qpsk import demodulate as demodulate_qpsk
 from dualmodem.tx_oqpsk import IqBuffer, modulate
 
 SPS = 8
+# numpy computes a binary op in place into a temporary of at least 256 KiB
+# (16,384 complex samples) and then uses a loop that rounds complex products
+# differently in the last bit, so the full-buffer references below match the
+# decision-rate stages bit for bit only on shorter buffers.  Hard decisions
+# match at any length.
+EXACT_MAX_SAMPLES = 16_000
 
 
 def _buf(samples, sps=SPS):
@@ -60,6 +67,39 @@ def test_diff_detect_rejects_short_buffer():
         diff_detect(_buf(np.zeros(SPS)))
 
 
+def _noisy_buffers(seed, sizes):
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        yield _buf(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def test_chip_instant_detector_matches_full_buffer():
+    for buf in _noisy_buffers(20, (SPS + 1, 2 * SPS, 257, 4_096, EXACT_MAX_SAMPLES)):
+        full = diff_detect(buf)
+        for tau in range(SPS):
+            y = diff_detect(buf, tau=tau)
+            assert y.delay_samples == 1
+            assert np.array_equal(y.y, full.y[tau::SPS])
+    with pytest.raises(ValueError):
+        diff_detect(_buf(np.zeros(64)), tau=SPS)
+
+
+def test_chip_instant_decisions_match_padded_full_buffer():
+    # The chain's decisions against the full-buffer detector run on the
+    # buffer after one chip of leading zeros: one decision per chip instant,
+    # the first one 0.
+    frame = apply(
+        _frame_buf(np.random.default_rng(21).integers(0, 2, 200).astype(np.uint8)),
+        ChannelParams(snr_db=0.0, seed=5),
+    )
+    for buf in (*_noisy_buffers(22, (3 * SPS, 5_001, 20_000)), frame):
+        padded = _buf(np.concatenate([np.zeros(SPS), buf.samples]))
+        for tau in range(SPS):
+            ref = detect_chips(diff_detect(padded), tau)
+            chips = detect_chips(diff_detect(buf, tau=tau), 0)
+            assert np.array_equal(np.concatenate(([0], chips)), ref), (len(buf), tau)
+
+
 # ---------------------------------------------------------------------------
 # Timing statistic
 # ---------------------------------------------------------------------------
@@ -98,6 +138,24 @@ def test_msk_timing_monte_carlo_10db():
         err = (tau - d + SPS // 2) % SPS - SPS // 2
         hits += abs(err) <= 1
     assert hits >= 475, hits  # >= 95% of 500
+
+
+def _msk_timing_full_buffer(z, sps, window_symbols):
+    """The timing statistic with lag products formed over the whole buffer."""
+    c = (z[sps:] * np.conj(z[:-sps])) ** 2
+    use = min(window_symbols, c.size // sps)
+    v = c[: use * sps].reshape(use, sps).mean(axis=0)
+    return v, int(np.argmax(np.abs(v)))
+
+
+def test_msk_timing_head_matches_full_buffer():
+    sizes = (2 * SPS, 3 * SPS - 1, 200, 513, 520, 4_096, EXACT_MAX_SAMPLES)
+    for buf in _noisy_buffers(23, sizes):
+        for window in (1, 5, 64):
+            v, tau_hat = _msk_timing_full_buffer(buf.samples, SPS, window)
+            stat = msk_timing(buf, window)
+            assert np.array_equal(stat.v, v), (len(buf), window)
+            assert stat.tau_hat == tau_hat
 
 
 def test_msk_timing_short_window():
@@ -242,8 +300,18 @@ def test_demodulate_counter_plumbing():
     payload = rng.integers(0, 2, 200).astype(np.uint8)
     buf = _frame_buf(payload)
     counter = RuntimeCounters()
-    demodulate(buf, RxConfig(), counter=counter)
+    report = demodulate(buf, RxConfig(), counter=counter)
     assert counter.frame_sync_mults == 256**2
     assert counter.despread_xors == 50 * 512
-    assert counter.diff_mults == 6 * len(buf)  # one chip of padding feeds the detector
+    # One lag product per pair of consecutive chip instants.
+    instants = len(buf.samples[report.timing.tau_hat :: SPS])
+    assert counter.diff_mults == 6 * (instants - 1)
     assert counter.bit_comparisons > 0
+
+
+@pytest.mark.parametrize("chain", [demodulate, demodulate_qpsk], ids=["msk", "qpsk"])
+@pytest.mark.parametrize("n_samples", [0, 1, SPS, 2 * SPS - 1])
+def test_demodulate_short_buffer_reports_no_frame(chain, n_samples):
+    report = chain(_buf(np.ones(n_samples)))
+    assert not report.frame_found
+    assert report.payload_bits is None

@@ -70,6 +70,25 @@ def test_matched_filter_peak_at_full_overlap():
         assert int(np.argmax(np.abs(out.samples))) == start + N_PULSE
 
 
+def test_matched_filter_decision_grid_matches_full_convolution():
+    rng = np.random.default_rng(30)
+    taps = half_sine_taps(N_PULSE)
+    for n in (1, SPS, N_PULSE + 3, 1_000, 14_856):
+        z = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        full = np.convolve(z, taps)
+        counter = RuntimeCounters()
+        for phase in range(SPS):
+            grid = matched_filter(_buf(z), counter=counter, phase=phase)
+            ref = full[phase + SPS :: SPS]
+            assert grid.shape == ref.shape, (n, phase)
+            assert np.allclose(grid, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(z)))
+        assert counter.mf_mults == 2 * N_PULSE * sum(
+            full[phase + SPS :: SPS].size for phase in range(SPS)
+        )
+    with pytest.raises(ValueError):
+        matched_filter(_buf(np.zeros(64)), phase=SPS)
+
+
 def test_mf_group_delay():
     assert mf_group_delay(16) == 7.5
     assert mf_group_delay(4) == 1.5
@@ -374,9 +393,15 @@ def test_demodulate_counter_plumbing():
     rng = np.random.default_rng(18)
     payload = rng.integers(0, 2, 200).astype(np.uint8)
     counter = RuntimeCounters()
-    demodulate(_frame_buf(payload), RxConfig(), counter=counter)
+    buf = _frame_buf(payload)
+    report = demodulate(buf, RxConfig(), counter=counter)
     # Both chip parities are searched, one correlation search each.
     assert counter.frame_sync_mults == 2 * 128**2
     assert counter.fft_mults > 0 and counter.mf_mults > 0
+    # The matched filter forms only the chip decision grid of its full
+    # len + N - 1 output, N taps and two real MACs per decision.
+    phase = report.timing.tau_hat
+    n_decisions = len(range(phase + SPS, len(buf) + N_PULSE - 1, SPS))
+    assert counter.mf_mults == 2 * N_PULSE * n_decisions
     assert counter.despread_xors == 50 * 512
     assert counter.despread_comparisons == 50 * 15

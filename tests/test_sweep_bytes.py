@@ -1,0 +1,37 @@
+"""Byte-identity oracle: the sweep CSV of small fixed-seed configs.
+
+Any change meant to keep behaviour (a refactor or a speed-up) must leave
+these sha256 digests as they are; a change that alters the random stream or
+a decision on purpose re-pins them and says so.  The digests were recorded
+before the receive path moved to decision-rate evaluation.
+"""
+
+import hashlib
+
+import pytest
+
+from dualmodem.sim_harness import SweepConfig, ber_sweep, sweep_csv
+
+GRID = dict(snr_start_db=-10.0, snr_stop_db=10.0, snr_step_db=4.0, packets_per_point=16)
+
+PINNED = {
+    "qpsk": (
+        dict(mode="qpsk"),
+        "3e0cb2343a4b2e6b17a24c00d806785b7184913f3bf3863e151aac1a9a1ce2bc",
+    ),
+    "msk": (
+        dict(mode="msk"),
+        "ade0f57b5d0bb9a3f43b3e14f700fce4679d55b1915dd07356fcfb1acdd96118",
+    ),
+    "auto": (
+        dict(mode="auto", f_d_hz=50e3, tau_samples=1600.0),
+        "9572e5fb69cf8d4da916432a42b1d57415083fb998b5b4e4249e7bfc05edab3a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_sweep_csv_bytes_are_pinned(name):
+    overrides, digest = PINNED[name]
+    text = sweep_csv(ber_sweep(SweepConfig(**GRID, **overrides)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
