@@ -1,4 +1,4 @@
-"""Result and configuration records shared by the two receiver chains."""
+"""Records, and the preamble peak pick, shared by the two receiver chains."""
 
 from __future__ import annotations
 
@@ -73,3 +73,26 @@ class DemodReport:
     def __post_init__(self):
         if self.payload_bits is not None and not self.frame_found:
             raise ValueError("payload present implies frame_found")
+
+
+# A payload that begins with all-zero symbols extends the preamble pattern,
+# producing several full-strength correlation peaks 32 chips apart; peaks
+# within this fraction of the maximum are treated as ties and the earliest
+# wins, so the sync never locks onto a late copy.
+SYNC_PEAK_MARGIN = 0.05
+
+
+def earliest_peak(metric: np.ndarray) -> tuple[float, int]:
+    """(value, lag) of the earliest near-maximal entry of a sync metric.
+
+    Lags within SYNC_PEAK_MARGIN of a positive maximum tie and the earliest
+    wins; with no positive lag the maximum wins.  A NaN lag never matches,
+    so an all-NaN metric gives (-inf, 0), which no threshold accepts.
+    """
+    metric = np.where(np.isnan(metric), -np.inf, metric)
+    peak = float(np.max(metric))
+    if peak > 0.0:
+        lag = int(np.argmax(metric >= (1.0 - SYNC_PEAK_MARGIN) * peak))
+    else:
+        lag = int(np.argmax(metric))
+    return float(metric[lag]), lag

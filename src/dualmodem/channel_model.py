@@ -44,13 +44,35 @@ def noise_sigma(snr_db: float) -> float:
     return math.sqrt(10.0 ** (-snr_db / 10.0))
 
 
+def phasor_ramp(
+    size: int, f_hz: float, sample_period_s: float, theta_rad: float, conjugate: bool = False
+) -> np.ndarray:
+    """exp(j*(2*pi*f_hz*n*sample_period_s + theta_rad)) for n = 0..size-1.
+
+    conjugate=True gives the inverse rotation, exp(-j*(...)).  The phase is
+    built in place in one float array and exponentiated in place in the
+    complex result, so the call allocates no other full-length array.
+    """
+    phase = np.arange(size, dtype=np.float64)
+    phase *= 2.0 * np.pi * f_hz
+    phase *= sample_period_s
+    phase += theta_rad
+    rot = np.empty(size, dtype=np.complex128)
+    rot.real = 0.0
+    if conjugate:
+        np.negative(phase, out=rot.imag)
+    else:
+        rot.imag = phase
+    return np.exp(rot, out=rot)
+
+
 def apply(buf: IqBuffer, params: ChannelParams) -> IqBuffer:
     """Run a buffer through the impairment channel.
 
     The output is extended by the (rounded-up) delay so no signal falls off
     the end; rotation uses absolute output-sample time, and with f_d = 0 it
     is a single phasor.  The noise is added to the output in place: first
-    its real draws, then its imaginary ones.
+    its real draws, then its imaginary ones, both drawn into one array.
     """
     if abs(params.f_d_hz) >= buf.chip_rate_hz / 2.0:
         raise ValueError("f_d magnitude must stay below half the chip rate")
@@ -73,17 +95,18 @@ def apply(buf: IqBuffer, params: ChannelParams) -> IqBuffer:
                 out[d + x.size] = frac * x[-1]
 
     if params.f_d_hz != 0.0:
-        n = np.arange(out.size)
-        out *= np.exp(
-            1j * (2.0 * np.pi * params.f_d_hz * n * buf.sample_period_s + params.theta_rad)
-        )
+        out *= phasor_ramp(out.size, params.f_d_hz, buf.sample_period_s, params.theta_rad)
     elif params.theta_rad != 0.0:
         out *= np.exp(1j * params.theta_rad)
 
     if params.snr_db is not None:
         rng = np.random.default_rng(params.seed)
         scale = noise_sigma(params.snr_db) / math.sqrt(2.0)
-        out.real += scale * rng.standard_normal(out.size)
-        out.imag += scale * rng.standard_normal(out.size)
+        noise = rng.standard_normal(out.size)
+        noise *= scale
+        out.real += noise
+        rng.standard_normal(out=noise)
+        noise *= scale
+        out.imag += noise
 
     return IqBuffer(samples=out, sps=buf.sps, chip_rate_hz=buf.chip_rate_hz)

@@ -97,7 +97,7 @@ class ChipStream:
         self.chips = np.asarray(self.chips, dtype=np.uint8)
         if self.chips.ndim != 1:
             raise ValueError("chip stream must be one-dimensional")
-        if self.chips.size and not np.isin(self.chips, (0, 1)).all():
+        if self.chips.size and self.chips.max() > 1:
             raise ValueError("chips must be 0/1 valued")
 
     def __len__(self) -> int:
@@ -113,7 +113,7 @@ def bits_to_symbols(bits) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size % BITS_PER_SYMBOL:
         raise ValueError("bit count must be divisible by 4")
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if bits.size and bits.max() > 1:
         raise ValueError("bits must be 0/1 valued")
     groups = bits.reshape(-1, BITS_PER_SYMBOL).astype(np.int64)
     weights = 1 << np.arange(BITS_PER_SYMBOL)

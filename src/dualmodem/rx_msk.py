@@ -17,16 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phy_frames
-from ._rxtypes import DemodReport, MskTimingStat, RxConfig
+from ._rxtypes import DemodReport, MskTimingStat, RxConfig, earliest_peak
 from .mode_controller import preamble_match_count
 from .tx_oqpsk import IqBuffer
 
 DIFF_DETECT_EPS = 1e-12
-
-# Leading all-zero payload symbols extend the preamble pattern and create
-# equal correlation peaks 32 chips apart; ties within this fraction of the
-# maximum resolve to the earliest lag (see frame_sync_msk).
-SYNC_PEAK_MARGIN = 0.05
 
 
 @dataclass
@@ -127,12 +122,8 @@ def frame_sync_msk(
     corr = np.correlate(x, r, mode="valid") / reference.size
     if counter is not None:
         counter.tally_correlation_search(reference.size, corr.size)
-    peak = float(np.max(corr))
-    if peak > 0.0:
-        best = int(np.argmax(corr >= (1.0 - SYNC_PEAK_MARGIN) * peak))
-    else:
-        best = int(np.argmax(corr))
-    return bool(corr[best] >= threshold), best
+    peak, best = earliest_peak(corr)
+    return bool(peak >= threshold), best
 
 
 def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> DemodReport:

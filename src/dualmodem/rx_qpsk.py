@@ -22,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import phy_frames
-from ._rxtypes import CarrierEstimate, DemodReport, RxConfig, TimingEstimate
+from ._rxtypes import CarrierEstimate, DemodReport, RxConfig, TimingEstimate, earliest_peak
+from .channel_model import phasor_ramp
 from .mode_controller import preamble_match_count
 from .rx_msk import msk_timing
 from .tx_oqpsk import (
@@ -39,12 +40,6 @@ RB_POWER = 4  # modulation-stripping exponent for QPSK constellations
 # exceeds ~4x the median, while a tone resolvable at all sits well above 5x;
 # below the threshold demodulate falls back to zero compensation.
 RB_CONFIDENCE_MIN = 5.5
-
-# A payload that begins with all-zero symbols extends the preamble pattern,
-# producing several full-strength correlation peaks 32 chips apart; peaks
-# within this fraction of the maximum are treated as ties and the earliest
-# wins, so the sync never locks onto a late copy.
-SYNC_PEAK_MARGIN = 0.05
 
 
 def matched_filter(buf: IqBuffer, counter=None, phase: int | None = None):
@@ -196,16 +191,22 @@ def rb_carrier_estimate(
         theta_hat_rad=theta_hat,
         n_fft=n_fft,
         peak_magnitude=float(m0),
-        peak_to_median=float(m0) / floor if floor > 0.0 else float("inf"),
+        # A NaN floor (NaN input) gives a NaN ratio, which the gate rejects.
+        peak_to_median=float(m0) / floor if floor != 0.0 else float("inf"),
     )
 
 
 def compensate(buf: IqBuffer, estimate: CarrierEstimate) -> IqBuffer:
     """Remove the estimated rotation: z[n] * exp(-j*(2*pi*f_hat*n*T_s + theta_hat))."""
-    n = np.arange(buf.samples.size)
-    out = buf.samples * np.exp(
-        -1j
-        * (2.0 * np.pi * estimate.f_d_hat_hz * n * buf.sample_period_s + estimate.theta_hat_rad)
+    # The rotation stays an unnamed temporary: from 16,384 samples numpy then
+    # multiplies into its memory, with a loop that rounds the product
+    # differently from the out-of-place one.
+    out = buf.samples * phasor_ramp(
+        buf.samples.size,
+        estimate.f_d_hat_hz,
+        buf.sample_period_s,
+        estimate.theta_hat_rad,
+        conjugate=True,
     )
     return IqBuffer(samples=out, sps=buf.sps, chip_rate_hz=buf.chip_rate_hz)
 
@@ -235,9 +236,8 @@ def _preamble_peak(symbols, reference, counter=None):
     energy = np.concatenate(([0.0], np.cumsum(np.abs(u) ** 2)))
     win = energy[ref.size :] - energy[: -ref.size]
     norm = np.abs(corr) / (np.sqrt(win * np.sum(np.abs(ref) ** 2)) + 1e-30)
-    peak = float(np.max(norm))
-    lag = int(np.argmax(norm >= (1.0 - SYNC_PEAK_MARGIN) * peak))
-    return float(norm[lag]), lag, float(np.angle(corr[lag]))
+    peak, lag = earliest_peak(norm)
+    return peak, lag, float(np.angle(corr[lag]))
 
 
 def frame_sync_qpsk(
@@ -314,7 +314,7 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     else:
         peak, parity, m0, delta_hat = peak1, 1, lag1, phase1
     r0 = 2 * m0 + parity
-    if peak < cfg.sync_threshold or r0 + layout.total_chips > x.size:
+    if not peak >= cfg.sync_threshold or r0 + layout.total_chips > x.size:
         return report
 
     # Slice chips on their own rail axis; the data-aided correlation angle

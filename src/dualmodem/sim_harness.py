@@ -176,14 +176,15 @@ def _run_packet_task(args) -> PacketRecord:
     return run_packet(cfg, snr_db, snr_index, packet_index, mode)
 
 
-def _chain_op_totals(cfg: SweepConfig) -> dict[str, tuple[int, int]]:
-    params = ComplexityParams(
-        l_pulses=32,
-        n_sample=2 * cfg.sps,
-        n_preamble=64,
-        n_bits=cfg.payload_bits,
-        n_fft=cfg.n_fft,
+def _complexity_params(sps: int, payload_bits: int, n_fft: int) -> ComplexityParams:
+    """The operation-count model of a chain run at these settings."""
+    return ComplexityParams(
+        l_pulses=32, n_sample=2 * sps, n_preamble=64, n_bits=payload_bits, n_fft=n_fft
     )
+
+
+def _chain_op_totals(cfg: SweepConfig) -> dict[str, tuple[int, int]]:
+    params = _complexity_params(cfg.sps, cfg.payload_bits, cfg.n_fft)
     msk = msk_op_counts(params)
     qpsk = qpsk_op_counts(params)
     return {
@@ -439,13 +440,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    params = ComplexityParams(
-        l_pulses=32,
-        n_sample=2 * (args.sps or 8),
-        n_preamble=64,
-        n_bits=args.payload_bits or 200,
-        n_fft=args.nfft or 2048,
-    )
+    params = _complexity_params(args.sps or 8, args.payload_bits or 200, args.nfft or 2048)
     print(msk_op_counts(params).as_text())
     print()
     print(qpsk_op_counts(params).as_text())

@@ -104,7 +104,7 @@ def modulate(
     chips = np.asarray(chips, dtype=np.uint8)
     if chips.ndim != 1 or chips.size == 0:
         raise ValueError("need a one-dimensional, non-empty chip vector")
-    if not np.isin(chips, (0, 1)).all():
+    if chips.max() > 1:
         raise ValueError("chips must be 0/1 valued")
     if sps < 2 or sps % 2:
         raise ValueError("sps must be an even integer >= 2")
@@ -118,30 +118,28 @@ def modulate(
     head_amp = chip_amplitudes(np.array([head_bit]), start_index=-1)[0]
     tail_amp = chip_amplitudes(np.array([tail_bit]), start_index=n_chips)[0]
 
-    n_out = (n_chips + 1) * sps
-    out = np.zeros(n_out, dtype=np.complex128)
+    out = np.zeros((n_chips + 1) * sps, dtype=np.complex128)
+    i_rail, q_rail = out.real, out.imag
 
     # Rail pulses abut with no overlap (spacing equals the pulse support), so
-    # each rail is a plain concatenation of scaled pulses.
+    # each rail is a plain concatenation of scaled pulses, written row by row
+    # into the rail's part of the buffer.  A negative amplitude turns the
+    # pulse's zero first tap into -0.0; adding +0.0 keeps every zero +0.0.
     even = amps[0::2]
     odd = amps[1::2]
-    i_blocks = (even[:, None] * pulse).reshape(-1)
-    end = min(n_out, i_blocks.size)
-    out[:end] += i_blocks[:end]
-    if odd.size:
-        q_blocks = (odd[:, None] * pulse).reshape(-1)
-        end = min(n_out - sps, q_blocks.size)
-        out[sps : sps + end] += 1j * q_blocks[:end]
+    i_rows = i_rail[: even.size * n_pulse].reshape(even.size, n_pulse)
+    np.multiply(even[:, None], pulse, out=i_rows)
+    i_rows += 0.0
+    q_rows = q_rail[sps : sps + odd.size * n_pulse].reshape(odd.size, n_pulse)
+    np.multiply(odd[:, None], pulse, out=q_rows)
+    q_rows += 0.0
 
     # Head: second half of the virtual chip -1 pulse; chip -1 is odd-indexed,
     # so it belongs on the Q rail.
-    head_half = head_amp * pulse[sps:]
-    out[:sps] += 1j * head_half
-    # Tail: first half of the virtual chip n_chips pulse on its rail.
-    tail_half = tail_amp * pulse[:sps]
-    if n_chips % 2 == 0:  # even index -> I rail
-        out[n_chips * sps :] += tail_half
-    else:
-        out[n_chips * sps :] += 1j * tail_half
+    q_rail[:sps] += head_amp * pulse[sps:]
+    # Tail: first half of the virtual chip n_chips pulse on its rail (even
+    # index -> I rail).
+    tail_rail = i_rail if n_chips % 2 == 0 else q_rail
+    tail_rail[n_chips * sps :] += tail_amp * pulse[:sps]
 
     return IqBuffer(samples=out, sps=sps, chip_rate_hz=chip_rate_hz)

@@ -1,5 +1,7 @@
 """Tests for the baseband impairment channel."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,38 @@ def test_impairments_compose():
     delayed = np.concatenate([np.zeros(3, dtype=np.complex128), buf.samples])
     want = delayed * np.exp(1j * (2 * np.pi * 5e3 * n * buf.sample_period_s - 1.2))
     assert np.allclose(out.samples, want, atol=1e-12)
+
+
+def _reference_apply(buf, params):
+    """The channel with integer delay, as full-length expressions."""
+    x = buf.samples
+    out = np.zeros(x.size + int(params.tau_samples), dtype=np.complex128)
+    out[int(params.tau_samples) :] = x
+    if params.f_d_hz != 0.0:
+        n = np.arange(out.size)
+        out *= np.exp(
+            1j * (2.0 * np.pi * params.f_d_hz * n * buf.sample_period_s + params.theta_rad)
+        )
+    elif params.theta_rad != 0.0:
+        out *= np.exp(1j * params.theta_rad)
+    if params.snr_db is not None:
+        rng = np.random.default_rng(params.seed)
+        scale = noise_sigma(params.snr_db) / math.sqrt(2.0)
+        out.real += scale * rng.standard_normal(out.size)
+        out.imag += scale * rng.standard_normal(out.size)
+    return out
+
+
+# 14,856 samples is a 200-bit frame; with a 1600-sample delay the output
+# reaches 16,456, past the 16,384 samples from which numpy computes into
+# temporaries in place.
+@pytest.mark.parametrize("n", [14_856, 16_456])
+@pytest.mark.parametrize("f_d", [0.0, 50e3])
+@pytest.mark.parametrize("tau", [0, 1600])
+@pytest.mark.parametrize("theta", [0.0, -2.1])
+@pytest.mark.parametrize("snr_db", [None, 3.0])
+def test_apply_matches_reference_bit_for_bit(n, f_d, tau, theta, snr_db):
+    rng = np.random.default_rng(n)
+    buf = IqBuffer(samples=np.exp(1j * rng.uniform(-np.pi, np.pi, n)), sps=8, chip_rate_hz=2e6)
+    params = ChannelParams(f_d_hz=f_d, theta_rad=theta, tau_samples=tau, snr_db=snr_db, seed=9)
+    assert apply(buf, params).samples.tobytes() == _reference_apply(buf, params).tobytes()

@@ -315,3 +315,23 @@ def test_demodulate_short_buffer_reports_no_frame(chain, n_samples):
     report = chain(_buf(np.ones(n_samples)))
     assert not report.frame_found
     assert report.payload_bits is None
+
+
+@pytest.mark.parametrize("chain", [demodulate, demodulate_qpsk], ids=["msk", "qpsk"])
+def test_demodulate_all_nan_reports_no_frame(chain):
+    report = chain(_buf(np.full(14_856, np.nan)))
+    assert not report.frame_found
+    assert report.payload_bits is None
+
+
+@pytest.mark.parametrize("chain", [demodulate, demodulate_qpsk], ids=["msk", "qpsk"])
+def test_demodulate_ignores_nan_sync_lags(chain):
+    # One NaN inside the burst makes every later preamble-correlation lag NaN
+    # on the coherent chain; the true, earlier lag must still win.
+    payload = np.random.default_rng(3).integers(0, 2, 200).astype(np.uint8)
+    buf = apply(_frame_buf(payload), ChannelParams(tau_samples=1600))
+    buf.samples[9000] = np.nan
+    report = chain(buf)
+    assert report.frame_found
+    assert report.frame_start == 1600
+    assert np.array_equal(report.payload_bits, payload)

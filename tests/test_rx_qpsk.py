@@ -251,6 +251,20 @@ def test_compensate_zero_estimate_is_identity():
     assert np.array_equal(compensate(x, est).samples, x.samples)
 
 
+@pytest.mark.parametrize("n", [14_856, 16_456])
+@pytest.mark.parametrize("f_hat", [0.0, 50e3, -37.5e3])
+@pytest.mark.parametrize("theta_hat", [0.0, 0.6])
+def test_compensate_matches_reference_bit_for_bit(n, f_hat, theta_hat):
+    # 16,456 samples is past the 16,384 from which numpy multiplies into the
+    # exponential's memory, with a loop that rounds differently.
+    rng = np.random.default_rng(n)
+    x = _buf(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    est = CarrierEstimate(f_d_hat_hz=f_hat, theta_hat_rad=theta_hat, n_fft=2048, peak_magnitude=1)
+    k = np.arange(n)
+    want = x.samples * np.exp(-1j * (2.0 * np.pi * f_hat * k * x.sample_period_s + theta_hat))
+    assert compensate(x, est).samples.tobytes() == want.tobytes()
+
+
 def test_compensate_residual_grows_linearly():
     # A frequency error eps leaves a rotation ramping at 2*pi*eps*T_s per sample.
     x = _buf(np.ones(400))

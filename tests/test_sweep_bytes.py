@@ -2,8 +2,8 @@
 
 Any change meant to keep behaviour (a refactor or a speed-up) must leave
 these sha256 digests as they are; a change that alters the random stream or
-a decision on purpose re-pins them and says so.  The digests were recorded
-before the receive path moved to decision-rate evaluation.
+a decision on purpose re-pins them and says so.  Every digest was recorded
+at the parent of the change that added it, before that change touched src/.
 """
 
 import hashlib
@@ -26,6 +26,12 @@ PINNED = {
     "auto": (
         dict(mode="auto", f_d_hz=50e3, tau_samples=1600.0),
         "9572e5fb69cf8d4da916432a42b1d57415083fb998b5b4e4249e7bfc05edab3a",
+    ),
+    # Runs compensate on gate-open 16,456-sample buffers, past the 16,384
+    # samples from which numpy multiplies into a temporary in place.
+    "qpsk-offset": (
+        dict(mode="qpsk", f_d_hz=50e3, tau_samples=1600.0),
+        "1f0bd6816d85026c6ad9fbdec79750bc699904606725fa759d4a6b4aeea55bd2",
     ),
 }
 

@@ -64,6 +64,35 @@ def test_modulate_validation():
         modulate(np.array([0, 1], dtype=np.uint8), sps=5)
 
 
+def _reference_modulate(chips, sps, head_bit, tail_bit):
+    """The modulator as one expression per rail, with complex temporaries."""
+    n_chips = chips.size
+    pulse = half_sine_taps(2 * sps)
+    amps = chip_amplitudes(chips)
+    head_amp = chip_amplitudes(np.array([head_bit]), start_index=-1)[0]
+    tail_amp = chip_amplitudes(np.array([tail_bit]), start_index=n_chips)[0]
+    out = np.zeros((n_chips + 1) * sps, dtype=np.complex128)
+    i_blocks = (amps[0::2][:, None] * pulse).reshape(-1)
+    out[: i_blocks.size] += i_blocks
+    q_blocks = (amps[1::2][:, None] * pulse).reshape(-1)
+    out[sps : sps + q_blocks.size] += 1j * q_blocks
+    out[:sps] += 1j * (head_amp * pulse[sps:])
+    tail_half = tail_amp * pulse[:sps]
+    out[n_chips * sps :] += tail_half if n_chips % 2 == 0 else 1j * tail_half
+    return out
+
+
+# 1856 chips make a 200-bit frame's 14,856 samples; 2056 chips make 16,456,
+# past the 16,384 samples from which numpy computes into temporaries in place.
+@pytest.mark.parametrize("n_chips", [1856, 2055, 2056])
+@pytest.mark.parametrize("edge_bits", [(0, 0), (1, 1)])
+def test_modulate_matches_reference_bit_for_bit(n_chips, edge_bits):
+    chips = np.random.default_rng(n_chips).integers(0, 2, n_chips).astype(np.uint8)
+    got = modulate(chips, head_bit=edge_bits[0], tail_bit=edge_bits[1]).samples
+    want = _reference_modulate(chips, 8, *edge_bits)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_modulate_accepts_chip_stream():
     payload = np.random.default_rng(1).integers(0, 2, 8).astype(np.uint8)
     frame = pf.build_frame(payload)
