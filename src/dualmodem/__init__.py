@@ -3,137 +3,8 @@
 An O-QPSK transmitter with half-sine pulse shaping, an impairment channel,
 two receiver chains (coherent O-QPSK and non-coherent differential-detection
 MSK), an SNR-driven mode controller, operation-count instrumentation, and a
-Monte Carlo sweep harness with a CLI front end.
+Monte Carlo sweep harness with a CLI front end.  Import the submodules
+(`dualmodem.rx_qpsk`, `dualmodem.sim_harness`, ...) directly.
 """
 
-from .channel_model import ChannelParams, apply as channel_apply, noise_sigma
-from .complexity_meter import (
-    ComplexityParams,
-    OpCountReport,
-    RuntimeCounters,
-    StageOps,
-    fft_op_counts,
-    msk_op_counts,
-    qpsk_op_counts,
-)
-from .mode_controller import (
-    DEFAULT_MATCH_THRESHOLD,
-    MODE_MSK,
-    MODE_QPSK,
-    ModeState,
-    SnrVerdict,
-    decide_mode,
-    preamble_match_count,
-    step_mode,
-    verdict_from_match,
-    verdict_from_report,
-)
-from .phy_frames import (
-    CHIP_TABLE,
-    ChipStream,
-    FrameLayout,
-    bits_to_symbols,
-    build_frame,
-    despread_chips,
-    despread_stream,
-    differential_decode,
-    differential_encode,
-    min_pairwise_distance,
-    preamble_bits,
-    preamble_chips,
-    spread_symbol,
-    spread_symbols,
-    symbols_to_bits,
-)
-from ._rxtypes import (
-    CarrierEstimate,
-    DemodReport,
-    MskTimingStat,
-    RxConfig,
-    TimingEstimate,
-)
-from .rx_msk import demodulate as demodulate_msk, diff_detect, frame_sync_msk, msk_timing
-from .rx_qpsk import (
-    compensate,
-    demodulate as demodulate_qpsk,
-    elg_timing,
-    frame_sync_qpsk,
-    matched_filter,
-    rb_carrier_estimate,
-)
-from .sim_harness import (
-    SweepConfig,
-    SweepResult,
-    ber_sweep,
-    iq_export,
-    iq_import,
-    run_packet,
-    sweep_csv,
-)
-from .tx_oqpsk import CHIP_RATE_HZ, IqBuffer, half_sine_taps, modulate
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CHIP_RATE_HZ",
-    "CHIP_TABLE",
-    "CarrierEstimate",
-    "ChannelParams",
-    "ChipStream",
-    "ComplexityParams",
-    "DEFAULT_MATCH_THRESHOLD",
-    "DemodReport",
-    "FrameLayout",
-    "IqBuffer",
-    "MODE_MSK",
-    "MODE_QPSK",
-    "ModeState",
-    "MskTimingStat",
-    "OpCountReport",
-    "RuntimeCounters",
-    "RxConfig",
-    "SnrVerdict",
-    "StageOps",
-    "SweepConfig",
-    "SweepResult",
-    "TimingEstimate",
-    "ber_sweep",
-    "bits_to_symbols",
-    "build_frame",
-    "channel_apply",
-    "compensate",
-    "decide_mode",
-    "demodulate_msk",
-    "demodulate_qpsk",
-    "despread_chips",
-    "despread_stream",
-    "diff_detect",
-    "differential_decode",
-    "differential_encode",
-    "elg_timing",
-    "fft_op_counts",
-    "frame_sync_msk",
-    "frame_sync_qpsk",
-    "half_sine_taps",
-    "iq_export",
-    "iq_import",
-    "matched_filter",
-    "min_pairwise_distance",
-    "modulate",
-    "msk_op_counts",
-    "msk_timing",
-    "noise_sigma",
-    "preamble_bits",
-    "preamble_chips",
-    "preamble_match_count",
-    "qpsk_op_counts",
-    "rb_carrier_estimate",
-    "run_packet",
-    "spread_symbol",
-    "spread_symbols",
-    "step_mode",
-    "sweep_csv",
-    "symbols_to_bits",
-    "verdict_from_match",
-    "verdict_from_report",
-]

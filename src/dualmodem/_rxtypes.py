@@ -1,11 +1,15 @@
-"""Records, and the preamble peak pick, shared by the two receiver chains."""
+"""Records, the preamble peak pick and the frame tail shared by the two
+receiver chains."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+
+from . import phy_frames
+from .mode_controller import preamble_match_count
 
 
 @dataclass
@@ -96,3 +100,18 @@ def earliest_peak(metric: np.ndarray) -> tuple[float, int]:
     else:
         lag = int(np.argmax(metric))
     return float(metric[lag]), lag
+
+
+def finish_frame(report: DemodReport, source_chips, frame_start: int, counter=None) -> DemodReport:
+    """Fill in a found frame from its source (pre-encoding) chip stream.
+
+    Counts the preamble chips that match the known preamble, despreads the
+    payload chips that follow it, and records where the frame starts.
+    """
+    n = phy_frames.PREAMBLE_CHIPS.size
+    report.frame_found = True
+    report.frame_start = frame_start
+    report.preamble_match_count = preamble_match_count(source_chips[:n], phy_frames.PREAMBLE_CHIPS)
+    symbols, _ = phy_frames.despread_stream(source_chips[n:], counter)
+    report.payload_bits = phy_frames.symbols_to_bits(symbols)
+    return report

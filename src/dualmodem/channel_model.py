@@ -25,13 +25,15 @@ class ChannelParams:
     tau_samples: float = 0.0
     snr_db: float | None = None
     seed: int | None = None
-    fractional_delay: bool = False
 
     def __post_init__(self):
+        for name in ("f_d_hz", "theta_rad", "tau_samples"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.tau_samples < 0:
             raise ValueError("tau_samples must be non-negative")
-        if not self.fractional_delay and self.tau_samples != int(self.tau_samples):
-            raise ValueError("non-integer tau_samples requires fractional_delay=True")
+        if self.tau_samples != int(self.tau_samples):
+            raise ValueError("tau_samples must be a whole number of samples")
         # Keep theta in the principal interval (-pi, pi].
         t = math.remainder(self.theta_rad, 2.0 * math.pi)
         if t <= -math.pi:
@@ -69,9 +71,9 @@ def phasor_ramp(
 def apply(buf: IqBuffer, params: ChannelParams) -> IqBuffer:
     """Run a buffer through the impairment channel.
 
-    The output is extended by the (rounded-up) delay so no signal falls off
-    the end; rotation uses absolute output-sample time, and with f_d = 0 it
-    is a single phasor.  The noise is added to the output in place: first
+    The output is extended by the delay so no signal falls off the end;
+    rotation uses absolute output-sample time, and with f_d = 0 it is a
+    single phasor.  The noise is added to the output in place: first
     its real draws, then its imaginary ones, both drawn into one array.
     """
     if abs(params.f_d_hz) >= buf.chip_rate_hz / 2.0:
@@ -80,19 +82,9 @@ def apply(buf: IqBuffer, params: ChannelParams) -> IqBuffer:
     if params.tau_samples == 0:
         out = x.copy()
     else:
-        out = np.zeros(x.size + int(math.ceil(params.tau_samples)), dtype=np.complex128)
-        if not params.fractional_delay or params.tau_samples == int(params.tau_samples):
-            d = int(params.tau_samples)
-            out[d : d + x.size] = x
-        else:
-            d = int(math.floor(params.tau_samples))
-            frac = params.tau_samples - d
-            # Linear interpolation between neighbouring input samples.
-            shifted = (1.0 - frac) * x
-            shifted[1:] += frac * x[:-1]
-            out[d : d + x.size] = shifted
-            if d + x.size < out.size:
-                out[d + x.size] = frac * x[-1]
+        d = int(params.tau_samples)
+        out = np.zeros(x.size + d, dtype=np.complex128)
+        out[d : d + x.size] = x
 
     if params.f_d_hz != 0.0:
         out *= phasor_ramp(out.size, params.f_d_hz, buf.sample_period_s, params.theta_rad)

@@ -131,17 +131,6 @@ class OpCountReport:
                 lines.append("  ".join("-" * w for w in widths))
         return "\n".join(lines)
 
-    def as_csv(self) -> str:
-        lines = ["stage,additions,multiplications,other"]
-        for s in self.stages:
-            other = ";".join(f"{lbl}={c}" for lbl, c in s.other)
-            lines.append(f"{s.name},{s.additions},{s.multiplications},{other}")
-        other_tot = ";".join(f"{lbl}={c}" for lbl, c in self.other_totals().items())
-        lines.append(
-            f"total,{self.additions_total},{self.multiplications_total},{other_tot}"
-        )
-        return "\n".join(lines) + "\n"
-
 
 def _frame_sync_stage(n_preamble: int) -> StageOps:
     return StageOps(
@@ -285,11 +274,6 @@ class RuntimeCounters:
         # normalization (2 mults, 1 add) per output sample.
         self.diff_mults += 6 * n_samples
         self.diff_adds += 3 * n_samples
-
-    def merge(self, other: "RuntimeCounters") -> None:
-        """Fold another instance in (for counters kept per worker)."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def to_report(self, chain: str = "runtime") -> OpCountReport:
         stages = []

@@ -9,12 +9,10 @@ changes happen only between packets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-PREAMBLE_CHIP_COUNT = 256
 DEFAULT_MATCH_THRESHOLD = 240
 DEFAULT_K_UP = 3
 DEFAULT_K_DOWN = 1
@@ -39,12 +37,6 @@ class SnrVerdict:
     match_count: int
     good: bool
     threshold: int = DEFAULT_MATCH_THRESHOLD
-
-
-def verdict_from_report(report, threshold: int = DEFAULT_MATCH_THRESHOLD) -> SnrVerdict:
-    """Verdict for a demodulation report; a missed frame is always poor."""
-    match = report.preamble_match_count if report.frame_found else 0
-    return SnrVerdict(match_count=match, good=bool(report.frame_found and match >= threshold), threshold=threshold)
 
 
 def verdict_from_match(match_count: int, threshold: int = DEFAULT_MATCH_THRESHOLD) -> SnrVerdict:
@@ -102,43 +94,3 @@ def step_mode(
         history=history,
     )
 
-
-def decide_mode(
-    verdicts: Iterable[SnrVerdict],
-    state: ModeState | None = None,
-    k_up: int = DEFAULT_K_UP,
-    k_down: int = DEFAULT_K_DOWN,
-    override: str | None = None,
-) -> ModeState:
-    """Fold a verdict sequence through the hysteresis state machine."""
-    state = state or ModeState()
-    for verdict in verdicts:
-        state = step_mode(state, verdict, k_up=k_up, k_down=k_down, override=override)
-    return state
-
-
-def calibrate_match_threshold(
-    snr_db: Sequence[float],
-    mean_match: Sequence[float],
-    ber_qpsk: Sequence[float],
-    ber_msk: Sequence[float],
-    ber_target: float = 1e-3,
-) -> int:
-    """Pick a switching threshold from measured sweeps.
-
-    Finds the SNRs where each chain first meets `ber_target`, takes the
-    midpoint, and returns the interpolated mean preamble match count there.
-    This is the scripted calibration behind the default threshold.
-    """
-    snr = np.asarray(snr_db, dtype=float)
-    match = np.asarray(mean_match, dtype=float)
-
-    def first_reach(ber) -> float:
-        ber = np.asarray(ber, dtype=float)
-        ok = np.nonzero(ber <= ber_target)[0]
-        if ok.size == 0:
-            raise ValueError("chain never reaches the target BER in this sweep")
-        return float(snr[ok[0]])
-
-    snr_mid = 0.5 * (first_reach(ber_qpsk) + first_reach(ber_msk))
-    return int(round(float(np.interp(snr_mid, snr, match))))

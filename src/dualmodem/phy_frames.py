@@ -8,8 +8,7 @@ is differentially encoded before modulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,22 +43,6 @@ CHIP_TABLE = np.array(
 )
 
 
-def chip_table_text() -> str:
-    """The chip table as 16 lines of 32 '0'/'1' characters (c0 first)."""
-    return "\n".join(CHIP_TABLE_BITS) + "\n"
-
-
-def packaged_chip_table_text() -> str:
-    """Contents of the plain-text chip table resource shipped with the package."""
-    return resources.files("dualmodem").joinpath("data/chip_table.txt").read_text()
-
-
-def export_chip_table(path) -> None:
-    """Write the chip table to `path` for cross-implementation diffing."""
-    with open(path, "w") as fh:
-        fh.write(chip_table_text())
-
-
 @dataclass(frozen=True)
 class FrameLayout:
     """Chip-level frame geometry: preamble followed by a spread payload."""
@@ -88,10 +71,9 @@ class FrameLayout:
 
 @dataclass
 class ChipStream:
-    """A chip sequence plus a tag saying where it came from."""
+    """A validated 0/1 chip sequence."""
 
     chips: np.ndarray
-    origin: str = "payload"  # "preamble" | "payload" | "frame"
 
     def __post_init__(self):
         self.chips = np.asarray(self.chips, dtype=np.uint8)
@@ -214,6 +196,14 @@ PREAMBLE_CHIPS = preamble_chips()
 PREAMBLE_CHIPS.flags.writeable = False
 
 
+def frame_source_chips(payload_bits) -> np.ndarray:
+    """The frame chip stream before differential encoding: preamble chips
+    followed by the spread payload."""
+    payload_bits = np.asarray(payload_bits, dtype=np.uint8)
+    FrameLayout(payload_bits=payload_bits.size)  # validates the payload length
+    return np.concatenate([PREAMBLE_CHIPS, spread_symbols(bits_to_symbols(payload_bits))])
+
+
 def build_frame(payload_bits, d_init: int = 0) -> ChipStream:
     """Assemble a frame: preamble chips + spread payload, differentially encoded.
 
@@ -222,20 +212,7 @@ def build_frame(payload_bits, d_init: int = 0) -> ChipStream:
     The whole stream is encoded as one run so the payload decode can key off
     the last preamble chip.
     """
-    payload_bits = np.asarray(payload_bits, dtype=np.uint8)
-    FrameLayout(payload_bits=payload_bits.size)  # validates the payload length
-    chips = np.concatenate([PREAMBLE_CHIPS, spread_symbols(bits_to_symbols(payload_bits))])
-    encoded = differential_encode(chips, d_init=d_init)
-    return ChipStream(chips=encoded, origin="frame")
-
-
-def frame_source_chips(payload_bits) -> np.ndarray:
-    """The frame chip stream before differential encoding."""
-    payload_bits = np.asarray(payload_bits, dtype=np.uint8)
-    layout = FrameLayout(payload_bits=payload_bits.size)
-    return np.concatenate(
-        [preamble_chips(layout), spread_symbols(bits_to_symbols(payload_bits))]
-    )
+    return ChipStream(chips=differential_encode(frame_source_chips(payload_bits), d_init=d_init))
 
 
 def min_pairwise_distance() -> int:

@@ -12,29 +12,18 @@ at the chip instants, so it forms the lag products there and nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import phy_frames
-from ._rxtypes import DemodReport, MskTimingStat, RxConfig, earliest_peak
-from .mode_controller import preamble_match_count
+from ._rxtypes import DemodReport, MskTimingStat, RxConfig, earliest_peak, finish_frame
 from .tx_oqpsk import IqBuffer
 
 DIFF_DETECT_EPS = 1e-12
 
 
-@dataclass
-class PhaseDiffSignal:
-    """Normalized one-chip-lag phase-difference detector output."""
-
-    y: np.ndarray
-    delay_samples: int
-
-
 def diff_detect(
     buf: IqBuffer, eps: float = DIFF_DETECT_EPS, counter=None, tau: int | None = None
-) -> PhaseDiffSignal:
+) -> np.ndarray:
     """y[n] = Im(z[n] * conj(z[n - sps])) / (|z[n]| * |z[n - sps]| + eps).
 
     The imaginary part of the lag product is the sine of the phase advance
@@ -42,9 +31,9 @@ def diff_detect(
     n < sps where no lagged sample exists.
 
     With `tau` in [0, sps), y is formed only at the chip instants
-    tau + k*sps, one entry per instant (delay_samples 1): the result is
-    diff_detect(buf).y[tau::sps], and detect_chips(result, 0) gives the
-    decisions of detect_chips(diff_detect(buf), tau).
+    tau + k*sps, one entry per instant (a lag of 1): the result is
+    diff_detect(buf)[tau::sps], and detect_chips(result, 0, 1) gives the
+    decisions of detect_chips(diff_detect(buf), tau, sps).
     """
     z = buf.samples
     lag = buf.sps
@@ -60,7 +49,7 @@ def diff_detect(
     y[lag:] = prod.imag / norm
     if counter is not None:
         counter.tally_diff_detect(z.size - lag)
-    return PhaseDiffSignal(y=y, delay_samples=lag)
+    return y
 
 
 def msk_timing(buf: IqBuffer, window_symbols: int = 64) -> MskTimingStat:
@@ -88,16 +77,18 @@ def msk_timing(buf: IqBuffer, window_symbols: int = 64) -> MskTimingStat:
     )
 
 
-def detect_chips(y: PhaseDiffSignal, timing: MskTimingStat | int, counter=None) -> np.ndarray:
-    """Hard chip decisions: sample y at the end of each chip interval.
+def detect_chips(
+    y: np.ndarray, timing: MskTimingStat | int, sps: int, counter=None
+) -> np.ndarray:
+    """Hard chip decisions: sample y, formed at a lag of `sps` samples, at the
+    end of each chip interval.
 
     A positive phase ramp means chip 1.  Exact zeros (e.g. dead air) decide 0.
     """
     tau = timing.tau_hat if isinstance(timing, MskTimingStat) else int(timing)
-    sps = y.delay_samples
     if not 0 <= tau < sps:
         raise ValueError("timing phase must lie in [0, sps)")
-    decisions = y.y[tau + sps :: sps]
+    decisions = y[tau + sps :: sps]
     if counter is not None:
         counter.tally_bit_decisions(decisions.size)
     return (decisions > 0).astype(np.uint8)
@@ -144,17 +135,9 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # when the timing phase lands one sample early (tau_hat = truth - 1 mod
     # sps shifts the chip stream forward by one; without that chip the frame
     # would overrun the buffer tail and be dropped).
-    chips = np.concatenate((np.zeros(1, dtype=np.uint8), detect_chips(y, 0, counter=counter)))
+    chips = np.concatenate((np.zeros(1, dtype=np.uint8), detect_chips(y, 0, 1, counter=counter)))
     found, c0 = frame_sync_msk(chips, threshold=cfg.sync_threshold, counter=counter)
     if not found or c0 + layout.total_chips > chips.size:
         return report
-
-    report.frame_found = True
     frame = chips[c0 : c0 + layout.total_chips]
-    report.frame_start = stat.tau_hat + (c0 - 1) * sps
-    report.preamble_match_count = preamble_match_count(
-        frame[: layout.preamble_chips], phy_frames.PREAMBLE_CHIPS
-    )
-    symbols, _ = phy_frames.despread_stream(frame[layout.preamble_chips :], counter)
-    report.payload_bits = phy_frames.symbols_to_bits(symbols)
-    return report
+    return finish_frame(report, frame, stat.tau_hat + (c0 - 1) * sps, counter)

@@ -22,9 +22,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import phy_frames
-from ._rxtypes import CarrierEstimate, DemodReport, RxConfig, TimingEstimate, earliest_peak
+from ._rxtypes import (
+    CarrierEstimate,
+    DemodReport,
+    RxConfig,
+    TimingEstimate,
+    earliest_peak,
+    finish_frame,
+)
 from .channel_model import phasor_ramp
-from .mode_controller import preamble_match_count
 from .rx_msk import msk_timing
 from .tx_oqpsk import (
     SIGN_PATTERN_BITS,
@@ -83,11 +89,6 @@ def matched_filter(buf: IqBuffer, counter=None, phase: int | None = None):
     if phase is not None:
         return out
     return IqBuffer(samples=out, sps=sps, chip_rate_hz=buf.chip_rate_hz)
-
-
-def mf_group_delay(n_pulse: int) -> float:
-    """Group delay of the length-N half-sine FIR, (N - 1) / 2 samples."""
-    return (n_pulse - 1) / 2.0
 
 
 def elg_timing(
@@ -225,7 +226,12 @@ for _ref in PREAMBLE_REFERENCE:
 
 
 def _preamble_peak(symbols, reference, counter=None):
-    """Best normalized complex correlation: (peak, lag, phase_at_peak)."""
+    """Best normalized complex correlation: (peak, lag, phase_at_peak).
+
+    The peak is the magnitude of the sliding complex correlation, which is
+    invariant to the fourfold phase ambiguity left by the power-of-four
+    estimator; the residual rotation is the angle at the peak.
+    """
     u = np.asarray(symbols, dtype=np.complex128)
     ref = np.asarray(reference, dtype=np.complex128)
     if u.size < ref.size:
@@ -238,21 +244,6 @@ def _preamble_peak(symbols, reference, counter=None):
     norm = np.abs(corr) / (np.sqrt(win * np.sum(np.abs(ref) ** 2)) + 1e-30)
     peak, lag = earliest_peak(norm)
     return peak, lag, float(np.angle(corr[lag]))
-
-
-def frame_sync_qpsk(
-    symbols, reference=None, threshold: float = 0.5, counter=None
-) -> tuple[bool, int]:
-    """Locate the preamble in a symbol-rate complex sequence.
-
-    Uses the magnitude of the sliding complex correlation, which is invariant
-    to the fourfold phase ambiguity left by the power-of-four estimator; the
-    residual rotation is read off the correlation angle downstream.
-    """
-    if reference is None:
-        reference = PREAMBLE_REFERENCE[0]
-    peak, lag, _ = _preamble_peak(symbols, reference, counter=counter)
-    return peak >= threshold, lag
 
 
 def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> DemodReport:
@@ -329,12 +320,4 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     pattern = np.tile(SIGN_PATTERN_BITS, layout.total_chips // 4 + 1)[: layout.total_chips]
     encoded = sliced ^ pattern
     source = phy_frames.differential_decode(encoded, d_init=cfg.d_init)
-
-    report.frame_found = True
-    report.frame_start = phi0 + (r0 - 1) * sps
-    report.preamble_match_count = preamble_match_count(
-        source[: layout.preamble_chips], phy_frames.PREAMBLE_CHIPS
-    )
-    symbols, _ = phy_frames.despread_stream(source[layout.preamble_chips :], counter)
-    report.payload_bits = phy_frames.symbols_to_bits(symbols)
-    return report
+    return finish_frame(report, source, phi0 + (r0 - 1) * sps, counter)

@@ -34,7 +34,7 @@ from .mode_controller import (
     step_mode,
     verdict_from_match,
 )
-from .tx_oqpsk import CHIP_RATE_HZ, IqBuffer, modulate
+from .tx_oqpsk import IqBuffer, modulate
 
 CSV_COLUMNS = (
     "snr_db",
@@ -424,9 +424,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_decode(args) -> int:
     buf = iq_import(args.iq_file)
-    rxcfg = RxConfig(payload_bits=args.payload_bits or 200, n_fft=args.nfft or 2048)
-    mode = args.mode or MODE_QPSK
-    chain = rx_msk if mode == MODE_MSK else rx_qpsk
+    rxcfg = RxConfig(payload_bits=args.payload_bits, n_fft=args.nfft)
+    chain = rx_msk if args.mode == MODE_MSK else rx_qpsk
     report = chain.demodulate(buf, rxcfg)
     if not report.frame_found:
         print("no frame found")
@@ -440,7 +439,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    params = _complexity_params(args.sps or 8, args.payload_bits or 200, args.nfft or 2048)
+    params = _complexity_params(args.sps, args.payload_bits, args.nfft)
     print(msk_op_counts(params).as_text())
     print()
     print(qpsk_op_counts(params).as_text())
@@ -479,15 +478,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decode", help="decode frames from a raw IQ capture")
     p_dec.add_argument("iq_file")
-    p_dec.add_argument("--mode", choices=[MODE_QPSK, MODE_MSK], default=None)
-    p_dec.add_argument("--payload-bits", type=int, default=None, dest="payload_bits")
-    p_dec.add_argument("--nfft", type=int, default=None)
+    p_dec.add_argument("--mode", choices=[MODE_QPSK, MODE_MSK], default=MODE_QPSK)
+    p_dec.add_argument("--payload-bits", type=int, default=200, dest="payload_bits")
+    p_dec.add_argument("--nfft", type=int, default=2048)
     p_dec.set_defaults(func=_cmd_decode)
 
     p_cx = sub.add_parser("complexity", help="print per-stage operation counts")
-    p_cx.add_argument("--sps", type=int, default=None)
-    p_cx.add_argument("--payload-bits", type=int, default=None, dest="payload_bits")
-    p_cx.add_argument("--nfft", type=int, default=None)
+    p_cx.add_argument("--sps", type=int, default=8)
+    p_cx.add_argument("--payload-bits", type=int, default=200, dest="payload_bits")
+    p_cx.add_argument("--nfft", type=int, default=2048)
     p_cx.set_defaults(func=_cmd_complexity)
 
     p_st = sub.add_parser("selftest", help="quick loopback and arithmetic checks")

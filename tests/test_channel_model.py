@@ -38,20 +38,18 @@ def test_integer_delay_pads_front():
     assert np.array_equal(out.samples[5:], buf.samples)
 
 
-def test_fractional_delay_linear_interpolation():
-    ramp = IqBuffer(samples=np.arange(8, dtype=np.complex128), sps=8, chip_rate_hz=2e6)
-    out = apply(ramp, ChannelParams(tau_samples=2.25, fractional_delay=True))
-    # x[n - 2.25] on a ramp: 0.75*x[n-2] + 0.25*x[n-3]
-    assert out.samples[2] == pytest.approx(0.75 * 0.0)
-    assert out.samples[4] == pytest.approx(0.75 * 2.0 + 0.25 * 1.0)
-    assert len(out) == 8 + 3
-
-
 def test_fractional_delay_requires_flag():
     with pytest.raises(ValueError):
         ChannelParams(tau_samples=1.5)
     with pytest.raises(ValueError):
         ChannelParams(tau_samples=-1)
+
+
+@pytest.mark.parametrize("field", ["f_d_hz", "theta_rad", "tau_samples"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_impairments_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ChannelParams(**{field: value})
 
 
 def test_theta_normalized_to_principal_interval():

@@ -124,16 +124,6 @@ def test_report_text_table():
     assert "29793" in text and "6144" in text
 
 
-def test_report_csv_schema():
-    report = qpsk_op_counts(ComplexityParams())
-    lines = report.as_csv().strip().splitlines()
-    assert lines[0] == "stage,additions,multiplications,other"
-    assert len(lines) == 1 + len(report.stages) + 1
-    total = lines[-1].split(",")
-    assert total[0] == "total"
-    assert int(total[1]) == 104_617 and int(total[2]) == 40_968
-
-
 def test_other_totals_aggregates_labels():
     report = msk_op_counts(ComplexityParams())
     totals = report.other_totals()
@@ -164,17 +154,6 @@ def test_tally_despread_matches_closed_form():
     assert c.despread_adds == c2s.additions
     assert c.despread_xors == c2s.other_as_dict()["XOR"]
     assert c.despread_comparisons == c2s.other_as_dict()["comparisons"]
-
-
-def test_merge_sums_every_field():
-    a, b = RuntimeCounters(), RuntimeCounters()
-    a.tally_fft(256)
-    b.tally_fft(256)
-    b.tally_matched_filter(100, 16)
-    a.merge(b)
-    adds, mults = fft_op_counts(256)
-    assert a.fft_adds == 2 * adds and a.fft_mults == 2 * mults
-    assert a.mf_mults == 2 * 100 * 16
 
 
 def test_to_report_skips_empty_stages():

@@ -3,18 +3,14 @@
 import numpy as np
 import pytest
 
-from dualmodem._rxtypes import DemodReport
 from dualmodem.mode_controller import (
     DEFAULT_MATCH_THRESHOLD,
     MODE_MSK,
     MODE_QPSK,
     ModeState,
-    calibrate_match_threshold,
-    decide_mode,
     preamble_match_count,
     step_mode,
     verdict_from_match,
-    verdict_from_report,
 )
 
 
@@ -24,6 +20,13 @@ def _good():
 
 def _poor():
     return verdict_from_match(100)
+
+
+def _run(verdicts):
+    state = ModeState()
+    for verdict in verdicts:
+        state = step_mode(state, verdict)
+    return state
 
 
 def test_preamble_match_count():
@@ -44,14 +47,6 @@ def test_verdict_threshold_edge():
     assert not v.good and v.match_count == 250 and v.threshold == 251
 
 
-def test_verdict_from_report_missed_frame_is_poor():
-    hit = DemodReport(mode="qpsk", frame_found=True, preamble_match_count=255)
-    miss = DemodReport(mode="qpsk", frame_found=False, preamble_match_count=0)
-    assert verdict_from_report(hit).good
-    v = verdict_from_report(miss)
-    assert not v.good and v.match_count == 0
-
-
 def test_promotion_needs_k_up_consecutive_good():
     state = ModeState()
     state = step_mode(state, _good())
@@ -63,12 +58,12 @@ def test_promotion_needs_k_up_consecutive_good():
 
 
 def test_poor_verdict_resets_good_run():
-    state = decide_mode([_good(), _good(), _poor(), _good(), _good()])
+    state = _run([_good(), _good(), _poor(), _good(), _good()])
     assert state.mode == MODE_QPSK and state.good_run == 2
 
 
 def test_single_poor_demotes_from_msk():
-    state = decide_mode([_good()] * 3)
+    state = _run([_good()] * 3)
     assert state.mode == MODE_MSK
     state = step_mode(state, _poor())
     assert state.mode == MODE_QPSK
@@ -93,7 +88,7 @@ def test_override_pins_mode_but_tracks_runs():
 
 
 def test_history_is_trimmed():
-    state = decide_mode([_good()] * 12)
+    state = _run([_good()] * 12)
     assert len(state.history) == 8
     assert all(state.history)
 
@@ -102,13 +97,3 @@ def test_mode_state_validation():
     with pytest.raises(ValueError):
         ModeState(mode="fsk")
 
-
-def test_calibrate_match_threshold_midpoint():
-    snr = [-10.0, -6.0, -2.0, 2.0, 6.0, 10.0]
-    match = [40.0, 120.0, 200.0, 230.0, 250.0, 256.0]
-    ber_qpsk = [0.3, 0.05, 1e-4, 0.0, 0.0, 0.0]  # first reaches target at -2
-    ber_msk = [0.5, 0.4, 0.2, 0.01, 1e-4, 0.0]  # first reaches target at +6
-    got = calibrate_match_threshold(snr, match, ber_qpsk, ber_msk)
-    assert got == 230  # interpolated match at the +2 dB midpoint
-    with pytest.raises(ValueError):
-        calibrate_match_threshold(snr, match, ber_qpsk, [0.5] * 6)

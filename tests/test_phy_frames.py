@@ -34,18 +34,6 @@ def test_rows_8_to_15_invert_odd_chips_of_rows_0_to_7():
         assert np.array_equal(pf.CHIP_TABLE[s + 8], pf.CHIP_TABLE[s] ^ mask), s
 
 
-def test_packaged_table_matches_in_memory_table():
-    assert pf.packaged_chip_table_text() == pf.chip_table_text()
-
-
-def test_export_chip_table_round_trips(tmp_path):
-    path = tmp_path / "table.txt"
-    pf.export_chip_table(path)
-    assert path.read_text() == pf.chip_table_text()
-    rows = path.read_text().splitlines()
-    assert len(rows) == 16 and all(len(r) == 32 for r in rows)
-
-
 def test_min_pairwise_distance_brute_force():
     # Independent brute force over all row pairs.
     dmin = min(
@@ -213,7 +201,6 @@ def test_build_frame_is_encoded_source_stream():
     rng = np.random.default_rng(3)
     payload = rng.integers(0, 2, 40).astype(np.uint8)
     frame = pf.build_frame(payload, d_init=0)
-    assert frame.origin == "frame"
     assert len(frame) == 256 + 8 * payload.size
     source = pf.frame_source_chips(payload)
     assert np.array_equal(frame.chips, pf.differential_encode(source, 0))

@@ -8,7 +8,6 @@ from dualmodem._rxtypes import RxConfig
 from dualmodem.channel_model import ChannelParams, apply
 from dualmodem.complexity_meter import RuntimeCounters
 from dualmodem.rx_msk import (
-    PhaseDiffSignal,
     demodulate,
     detect_chips,
     diff_detect,
@@ -43,10 +42,9 @@ def _frame_buf(payload, sps=SPS):
 def test_diff_detect_bounded_and_zero_head():
     rng = np.random.default_rng(0)
     buf = _buf(rng.standard_normal(200) + 1j * rng.standard_normal(200))
-    out = diff_detect(buf)
-    assert out.delay_samples == SPS
-    assert np.all(out.y[:SPS] == 0.0)
-    assert np.all(np.abs(out.y) <= 1.0 + 1e-12)
+    y = diff_detect(buf)
+    assert np.all(y[:SPS] == 0.0)
+    assert np.all(np.abs(y) <= 1.0 + 1e-12)
 
 
 def test_diff_detect_reads_ramp_signs():
@@ -54,7 +52,7 @@ def test_diff_detect_reads_ramp_signs():
     payload = rng.integers(0, 2, 40).astype(np.uint8)
     source = pf.frame_source_chips(payload)
     buf = _frame_buf(payload)
-    y = diff_detect(buf).y
+    y = diff_detect(buf)
     # At each chip-boundary instant the normalized lag product is +-1 with
     # the sign of the source chip's phase ramp.
     boundary = y[SPS :: SPS][: source.size]
@@ -77,9 +75,7 @@ def test_chip_instant_detector_matches_full_buffer():
     for buf in _noisy_buffers(20, (SPS + 1, 2 * SPS, 257, 4_096, EXACT_MAX_SAMPLES)):
         full = diff_detect(buf)
         for tau in range(SPS):
-            y = diff_detect(buf, tau=tau)
-            assert y.delay_samples == 1
-            assert np.array_equal(y.y, full.y[tau::SPS])
+            assert np.array_equal(diff_detect(buf, tau=tau), full[tau::SPS])
     with pytest.raises(ValueError):
         diff_detect(_buf(np.zeros(64)), tau=SPS)
 
@@ -95,8 +91,8 @@ def test_chip_instant_decisions_match_padded_full_buffer():
     for buf in (*_noisy_buffers(22, (3 * SPS, 5_001, 20_000)), frame):
         padded = _buf(np.concatenate([np.zeros(SPS), buf.samples]))
         for tau in range(SPS):
-            ref = detect_chips(diff_detect(padded), tau)
-            chips = detect_chips(diff_detect(buf, tau=tau), 0)
+            ref = detect_chips(diff_detect(padded), tau, SPS)
+            chips = detect_chips(diff_detect(buf, tau=tau), 0, 1)
             assert np.array_equal(np.concatenate(([0], chips)), ref), (len(buf), tau)
 
 
@@ -179,19 +175,19 @@ def test_detect_chips_ideal_frame():
     rng = np.random.default_rng(6)
     payload = rng.integers(0, 2, 40).astype(np.uint8)
     buf = _frame_buf(payload)
-    chips = detect_chips(diff_detect(buf), msk_timing(buf))
+    chips = detect_chips(diff_detect(buf), msk_timing(buf), SPS)
     source = pf.frame_source_chips(payload)
     assert np.array_equal(chips, source)
 
 
 def test_detect_chips_accepts_integer_timing_and_ties_to_zero():
-    y = PhaseDiffSignal(y=np.zeros(64), delay_samples=SPS)
-    chips = detect_chips(y, 0)
+    y = np.zeros(64)
+    chips = detect_chips(y, 0, SPS)
     assert not chips.any()
     with pytest.raises(ValueError):
-        detect_chips(y, SPS)
+        detect_chips(y, SPS, SPS)
     with pytest.raises(ValueError):
-        detect_chips(y, -1)
+        detect_chips(y, -1, SPS)
 
 
 # ---------------------------------------------------------------------------

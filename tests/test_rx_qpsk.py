@@ -8,13 +8,13 @@ from dualmodem._rxtypes import CarrierEstimate, RxConfig
 from dualmodem.channel_model import ChannelParams, apply
 from dualmodem.complexity_meter import RuntimeCounters
 from dualmodem.rx_qpsk import (
+    PREAMBLE_REFERENCE,
     RB_CONFIDENCE_MIN,
+    _preamble_peak,
     compensate,
     demodulate,
     elg_timing,
-    frame_sync_qpsk,
     matched_filter,
-    mf_group_delay,
     preamble_reference_symbols,
     rb_carrier_estimate,
 )
@@ -87,11 +87,6 @@ def test_matched_filter_decision_grid_matches_full_convolution():
         )
     with pytest.raises(ValueError):
         matched_filter(_buf(np.zeros(64)), phase=SPS)
-
-
-def test_mf_group_delay():
-    assert mf_group_delay(16) == 7.5
-    assert mf_group_delay(4) == 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +281,12 @@ def test_preamble_reference_shape_and_alphabet():
     assert ref.size == 128
     assert np.allclose(np.abs(ref), np.sqrt(2.0))
     assert np.isin(ref.real, (-1.0, 1.0)).all() and np.isin(ref.imag, (-1.0, 1.0)).all()
+
+
+def frame_sync_qpsk(symbols, counter=None):
+    """(found, lag) of the preamble peak at the chain's default 0.5 threshold."""
+    peak, lag, _ = _preamble_peak(symbols, PREAMBLE_REFERENCE[0], counter=counter)
+    return peak >= RxConfig().sync_threshold, lag
 
 
 def test_frame_sync_qpsk_finds_offsets():

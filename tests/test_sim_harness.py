@@ -1,9 +1,16 @@
 """Tests for the batch simulation driver and CLI."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dualmodem import phy_frames as pf
+from dualmodem import rx_msk, rx_qpsk, sim_harness
 from dualmodem.sim_harness import (
     CSV_COLUMNS,
     SweepConfig,
@@ -147,6 +154,38 @@ def test_exclude_missed_changes_denominator():
     assert excl.frames_missed == 10
 
 
+# The stages the sweep benchmark traces by replacing module attributes from
+# outside the program.  A stage the program reaches by another name would go
+# untraced and read zero time.
+TRACED_STAGES = {
+    rx_qpsk: ("msk_timing", "rb_carrier_estimate", "compensate", "matched_filter", "demodulate"),
+    rx_msk: ("msk_timing", "diff_detect", "detect_chips", "frame_sync_msk", "demodulate"),
+    pf: ("build_frame", "despread_stream"),
+    sim_harness: ("run_packet", "channel_apply", "modulate", "step_mode", "ProcessPoolExecutor"),
+}
+
+
+def test_every_traced_stage_is_called_through_its_module(monkeypatch):
+    calls = {}
+    for module, names in TRACED_STAGES.items():
+        for name in names:
+            key = f"{module.__name__}.{name}"
+            calls[key] = 0
+
+            def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    # Noiseless at f_d = 0, so the qpsk carrier gate opens and compensate runs.
+    cfg = _tiny_cfg(snr_start_db=10.0, snr_stop_db=10.0, packets_per_point=2)
+    for mode in ("qpsk", "msk"):
+        assert sim_harness.run_packet(cfg, None, 0, 0, mode).bit_errors == 0
+    ber_sweep(replace(cfg, mode="auto"))
+    ber_sweep(cfg, workers=2)
+    assert [key for key, n in calls.items() if n == 0] == []
+
+
 def test_auto_mode_tracks_snr():
     low = ber_sweep(_tiny_cfg(mode="auto", snr_start_db=-12.0, snr_stop_db=-12.0,
                               packets_per_point=40)).points[0]
@@ -260,6 +299,28 @@ def test_cli_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("ok") == 3
+
+
+def test_cli_rejects_zero_settings(tmp_path):
+    with pytest.raises(ValueError):
+        main(["complexity", "--sps", "0"])
+    path = tmp_path / "frame.iq"
+    iq_export(modulate(pf.build_frame(np.zeros(200, dtype=np.uint8))), path)
+    with pytest.raises(ValueError):
+        main(["decode", str(path), "--payload-bits", "0"])
+
+
+def test_module_selftest_runs_without_warnings():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualmodem.sim_harness", "selftest"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stderr == ""
 
 
 def test_parser_rejects_unknown_mode():
