@@ -14,20 +14,17 @@ from .mode_controller import preamble_match_count
 
 @dataclass
 class RxConfig:
-    """Knobs common to both demodulators."""
+    """Settings common to both demodulators: the expected payload length
+    and the carrier FFT size (qpsk only)."""
 
     payload_bits: int = 200
-    d_init: int = 0
     n_fft: int = 2048
-    timing_window_symbols: int = 64
-    sync_threshold: float = 0.5
-    min_carrier_samples: int = 64
 
     def __post_init__(self):
         if self.payload_bits <= 0 or self.payload_bits % 4:
             raise ValueError("payload_bits must be a positive multiple of 4")
-        if self.d_init not in (0, 1):
-            raise ValueError("d_init must be 0 or 1")
+        if self.n_fft < 64 or self.n_fft & (self.n_fft - 1):
+            raise ValueError("n_fft must be a power of two >= 64")
 
 
 @dataclass
@@ -58,8 +55,6 @@ class MskTimingStat:
 
     v: np.ndarray
     tau_hat: int
-    window_used: int
-    complete: bool
 
 
 @dataclass
@@ -84,6 +79,10 @@ class DemodReport:
 # within this fraction of the maximum are treated as ties and the earliest
 # wins, so the sync never locks onto a late copy.
 SYNC_PEAK_MARGIN = 0.05
+
+# A preamble correlation peak, normalized to 1 for a perfect match, must
+# reach this value for either chain to declare a frame.
+SYNC_THRESHOLD = 0.5
 
 
 def earliest_peak(metric: np.ndarray) -> tuple[float, int]:

@@ -27,7 +27,8 @@ class ChannelParams:
     seed: int | None = None
 
     def __post_init__(self):
-        for name in ("f_d_hz", "theta_rad", "tau_samples"):
+        noise = ("snr_db",) if self.snr_db is not None else ()
+        for name in ("f_d_hz", "theta_rad", "tau_samples") + noise:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.tau_samples < 0:

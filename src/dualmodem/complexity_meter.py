@@ -87,9 +87,6 @@ class StageOps:
             if count < 0:
                 raise ValueError(f"negative count for {label!r}")
 
-    def other_as_dict(self) -> dict[str, int]:
-        return dict(self.other)
-
 
 @dataclass(frozen=True)
 class OpCountReport:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_MATCH_THRESHOLD = 240
-DEFAULT_K_UP = 3
-DEFAULT_K_DOWN = 1
+K_UP = 3
+K_DOWN = 1
 
 MODE_QPSK = "qpsk"
 MODE_MSK = "msk"
@@ -31,19 +31,6 @@ def preamble_match_count(received_chips, reference) -> int:
 
 
 @dataclass(frozen=True)
-class SnrVerdict:
-    """Per-packet link-quality verdict."""
-
-    match_count: int
-    good: bool
-    threshold: int = DEFAULT_MATCH_THRESHOLD
-
-
-def verdict_from_match(match_count: int, threshold: int = DEFAULT_MATCH_THRESHOLD) -> SnrVerdict:
-    return SnrVerdict(match_count=match_count, good=match_count >= threshold, threshold=threshold)
-
-
-@dataclass(frozen=True)
 class ModeState:
     """Current mode plus the hysteresis bookkeeping."""
 
@@ -51,46 +38,31 @@ class ModeState:
     good_run: int = 0
     poor_run: int = 0
     switch_count: int = 0
-    history: tuple = ()
 
     def __post_init__(self):
         if self.mode not in (MODE_QPSK, MODE_MSK):
             raise ValueError("mode must be 'qpsk' or 'msk'")
 
 
-def step_mode(
-    state: ModeState,
-    verdict: SnrVerdict,
-    k_up: int = DEFAULT_K_UP,
-    k_down: int = DEFAULT_K_DOWN,
-    override: str | None = None,
-    history_len: int = 8,
-) -> ModeState:
-    """Advance the controller by one packet verdict.
+def step_mode(state: ModeState, good: bool) -> ModeState:
+    """Advance the controller by one packet verdict: good when the packet's
+    preamble match count reached the threshold.
 
-    k_up consecutive good verdicts switch to MSK; k_down consecutive poor
-    verdicts switch back to QPSK.  An override pins the mode while still
-    tracking verdict runs.
+    K_UP consecutive good verdicts switch to MSK; K_DOWN consecutive poor
+    verdicts switch back to QPSK.
     """
-    good_run = state.good_run + 1 if verdict.good else 0
-    poor_run = 0 if verdict.good else state.poor_run + 1
+    good_run = state.good_run + 1 if good else 0
+    poor_run = 0 if good else state.poor_run + 1
     mode = state.mode
-    if override is not None:
-        if override not in (MODE_QPSK, MODE_MSK):
-            raise ValueError("override must be 'qpsk' or 'msk'")
-        mode = override
-    elif state.mode == MODE_QPSK and good_run >= k_up:
+    if state.mode == MODE_QPSK and good_run >= K_UP:
         mode = MODE_MSK
         good_run = 0
-    elif state.mode == MODE_MSK and poor_run >= k_down:
+    elif state.mode == MODE_MSK and poor_run >= K_DOWN:
         mode = MODE_QPSK
         poor_run = 0
-    history = (state.history + (verdict.good,))[-history_len:]
     return ModeState(
         mode=mode,
         good_run=good_run,
         poor_run=poor_run,
         switch_count=state.switch_count + (mode != state.mode),
-        history=history,
     )
-

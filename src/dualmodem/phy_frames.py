@@ -48,17 +48,11 @@ class FrameLayout:
     """Chip-level frame geometry: preamble followed by a spread payload."""
 
     payload_bits: int
-    preamble_bits: int = 32
+    preamble_chips = 8 * CHIPS_PER_SYMBOL  # 32 all-zero bits
 
     def __post_init__(self):
         if self.payload_bits <= 0 or self.payload_bits % BITS_PER_SYMBOL:
             raise ValueError("payload_bits must be a positive multiple of 4")
-        if self.preamble_bits % BITS_PER_SYMBOL:
-            raise ValueError("preamble_bits must be a multiple of 4")
-
-    @property
-    def preamble_chips(self) -> int:
-        return self.preamble_bits // BITS_PER_SYMBOL * CHIPS_PER_SYMBOL
 
     @property
     def payload_chips(self) -> int:
@@ -67,23 +61,6 @@ class FrameLayout:
     @property
     def total_chips(self) -> int:
         return self.preamble_chips + self.payload_chips
-
-
-@dataclass
-class ChipStream:
-    """A validated 0/1 chip sequence."""
-
-    chips: np.ndarray
-
-    def __post_init__(self):
-        self.chips = np.asarray(self.chips, dtype=np.uint8)
-        if self.chips.ndim != 1:
-            raise ValueError("chip stream must be one-dimensional")
-        if self.chips.size and self.chips.max() > 1:
-            raise ValueError("chips must be 0/1 valued")
-
-    def __len__(self) -> int:
-        return self.chips.size
 
 
 def bits_to_symbols(bits) -> np.ndarray:
@@ -109,13 +86,6 @@ def symbols_to_bits(symbols) -> np.ndarray:
         raise ValueError("symbol indices must lie in [0, 15]")
     bits = (symbols[:, None] >> np.arange(BITS_PER_SYMBOL)) & 1
     return bits.reshape(-1).astype(np.uint8)
-
-
-def spread_symbol(symbol: int) -> np.ndarray:
-    """32-chip PN sequence for one 4-bit symbol."""
-    if not 0 <= int(symbol) <= 15:
-        raise ValueError("symbol index must lie in [0, 15]")
-    return CHIP_TABLE[int(symbol)].copy()
 
 
 def spread_symbols(symbols) -> np.ndarray:
@@ -158,41 +128,28 @@ def despread_stream(chips, counter=None) -> tuple[np.ndarray, np.ndarray]:
     return symbols, distances[np.arange(blocks.shape[0]), symbols]
 
 
-def differential_encode(chips, d_init: int = 0) -> np.ndarray:
+def differential_encode(chips) -> np.ndarray:
     """Chip-level differential encoding: out[k] = chips[k] XOR out[k-1].
 
-    out[-1] is seeded with d_init.
+    out[-1] is the encoder seed, 0.
     """
     chips = np.asarray(chips, dtype=np.uint8)
-    if d_init not in (0, 1):
-        raise ValueError("d_init must be 0 or 1")
-    # XOR prefix scan: out[k] = d_init ^ chips[0] ^ ... ^ chips[k]
-    out = np.bitwise_xor.accumulate(chips) ^ np.uint8(d_init)
-    return out.astype(np.uint8)
+    # XOR prefix scan: out[k] = chips[0] ^ ... ^ chips[k]
+    return np.bitwise_xor.accumulate(chips)
 
 
-def differential_decode(chips, d_init: int = 0) -> np.ndarray:
+def differential_decode(chips) -> np.ndarray:
     """Inverse of differential_encode: out[k] = chips[k] XOR chips[k-1]."""
     chips = np.asarray(chips, dtype=np.uint8)
-    if d_init not in (0, 1):
-        raise ValueError("d_init must be 0 or 1")
-    prev = np.concatenate(([d_init], chips[:-1])).astype(np.uint8)
-    return (chips ^ prev).astype(np.uint8)
+    out = chips.copy()
+    out[1:] ^= chips[:-1]
+    return out
 
 
-def preamble_bits(layout: FrameLayout | None = None) -> np.ndarray:
-    n = layout.preamble_bits if layout else 32
-    return np.zeros(n, dtype=np.uint8)
-
-
-def preamble_chips(layout: FrameLayout | None = None) -> np.ndarray:
-    """Spread preamble: all-zero bits, i.e. repetitions of chip table row 0."""
-    return spread_symbols(bits_to_symbols(preamble_bits(layout)))
-
-
-# The default 256-chip preamble, built once and shared read-only by the
-# framer and both receiver chains.
-PREAMBLE_CHIPS = preamble_chips()
+# The 256-chip preamble (32 all-zero bits: eight repeats of chip table
+# row 0), built once and shared read-only by the framer and both receiver
+# chains.
+PREAMBLE_CHIPS = np.tile(CHIP_TABLE[0], 8)
 PREAMBLE_CHIPS.flags.writeable = False
 
 
@@ -204,7 +161,7 @@ def frame_source_chips(payload_bits) -> np.ndarray:
     return np.concatenate([PREAMBLE_CHIPS, spread_symbols(bits_to_symbols(payload_bits))])
 
 
-def build_frame(payload_bits, d_init: int = 0) -> ChipStream:
+def build_frame(payload_bits) -> np.ndarray:
     """Assemble a frame: preamble chips + spread payload, differentially encoded.
 
     The 32-bit all-zero preamble spreads to 256 chips; every 4 payload bits
@@ -212,7 +169,7 @@ def build_frame(payload_bits, d_init: int = 0) -> ChipStream:
     The whole stream is encoded as one run so the payload decode can key off
     the last preamble chip.
     """
-    return ChipStream(chips=differential_encode(frame_source_chips(payload_bits), d_init=d_init))
+    return differential_encode(frame_source_chips(payload_bits))
 
 
 def min_pairwise_distance() -> int:

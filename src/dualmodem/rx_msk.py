@@ -15,16 +15,24 @@ from __future__ import annotations
 import numpy as np
 
 from . import phy_frames
-from ._rxtypes import DemodReport, MskTimingStat, RxConfig, earliest_peak, finish_frame
+from ._rxtypes import (
+    SYNC_THRESHOLD,
+    DemodReport,
+    MskTimingStat,
+    RxConfig,
+    earliest_peak,
+    finish_frame,
+)
 from .tx_oqpsk import IqBuffer
 
 DIFF_DETECT_EPS = 1e-12
 
+# Lag products averaged by msk_timing: the first 64 chips of the buffer.
+TIMING_WINDOW_SYMBOLS = 64
 
-def diff_detect(
-    buf: IqBuffer, eps: float = DIFF_DETECT_EPS, counter=None, tau: int | None = None
-) -> np.ndarray:
-    """y[n] = Im(z[n] * conj(z[n - sps])) / (|z[n]| * |z[n - sps]| + eps).
+
+def diff_detect(buf: IqBuffer, counter=None, tau: int | None = None) -> np.ndarray:
+    """y[n] = Im(z[n] * conj(z[n - sps])) / (|z[n]| * |z[n - sps]| + DIFF_DETECT_EPS).
 
     The imaginary part of the lag product is the sine of the phase advance
     over one chip, so y sits near +-1 at chip boundaries.  y[n] is zero for
@@ -45,36 +53,32 @@ def diff_detect(
         z, lag = z[tau::lag], 1
     y = np.zeros(z.size, dtype=np.float64)
     prod = z[lag:] * np.conj(z[:-lag])
-    norm = np.abs(z[lag:]) * np.abs(z[:-lag]) + eps
+    norm = np.abs(z[lag:]) * np.abs(z[:-lag]) + DIFF_DETECT_EPS
     y[lag:] = prod.imag / norm
     if counter is not None:
         counter.tally_diff_detect(z.size - lag)
     return y
 
 
-def msk_timing(buf: IqBuffer, window_symbols: int = 64) -> MskTimingStat:
+def msk_timing(buf: IqBuffer) -> MskTimingStat:
     """Estimate the chip-boundary sampling phase from the signal's head.
 
     Squares the one-chip-lag products and averages them per intra-chip phase
-    over the leading window; at the true boundary phase every squared product
-    collapses to the same unit phasor, so |v| peaks there regardless of
-    carrier offset or rotation.  Ties break to the smallest phase.  Only the
+    over the leading TIMING_WINDOW_SYMBOLS chips; at the true boundary phase
+    every squared product collapses to the same unit phasor, so |v| peaks
+    there regardless of carrier offset or rotation.  Ties break to the smallest phase.  Only the
     averaged window's lag products are formed.
     """
     z = buf.samples
     sps = buf.sps
-    if window_symbols < 1:
-        raise ValueError("window_symbols must be positive")
     if z.size < 2 * sps:
         raise ValueError("buffer too short for timing estimation")
-    use = min(window_symbols, (z.size - sps) // sps)
+    use = min(TIMING_WINDOW_SYMBOLS, (z.size - sps) // sps)
     n = use * sps
     c = (z[sps : sps + n] * np.conj(z[:n])) ** 2
     v = c.reshape(use, sps).mean(axis=0)
     tau_hat = int(np.argmax(np.abs(v)))
-    return MskTimingStat(
-        v=v, tau_hat=tau_hat, window_used=use, complete=use >= window_symbols
-    )
+    return MskTimingStat(v=v, tau_hat=tau_hat)
 
 
 def detect_chips(
@@ -94,18 +98,14 @@ def detect_chips(
     return (decisions > 0).astype(np.uint8)
 
 
-def frame_sync_msk(
-    chips, reference=None, threshold: float = 0.5, counter=None
-) -> tuple[bool, int]:
+def frame_sync_msk(chips, counter=None) -> tuple[bool, int]:
     """Locate the preamble in a hard chip stream.
 
     Slides a 256-chip antipodal correlation; the peak, normalized by the
-    reference length, must reach `threshold`.  Returns (found, start_chip).
+    preamble length, must reach SYNC_THRESHOLD.  Returns (found, start_chip).
     """
     chips = np.asarray(chips, dtype=np.uint8)
-    if reference is None:
-        reference = phy_frames.PREAMBLE_CHIPS
-    reference = np.asarray(reference, dtype=np.uint8)
+    reference = phy_frames.PREAMBLE_CHIPS
     if chips.size < reference.size:
         return False, 0
     x = 2.0 * chips - 1.0
@@ -114,7 +114,7 @@ def frame_sync_msk(
     if counter is not None:
         counter.tally_correlation_search(reference.size, corr.size)
     peak, best = earliest_peak(corr)
-    return bool(peak >= threshold), best
+    return bool(peak >= SYNC_THRESHOLD), best
 
 
 def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> DemodReport:
@@ -127,7 +127,7 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     report = DemodReport(mode="msk", frame_found=False)
     if buf.samples.size < 2 * sps:
         return report
-    stat = msk_timing(buf, cfg.timing_window_symbols)
+    stat = msk_timing(buf)
     report.timing = stat
     y = diff_detect(buf, counter=counter, tau=stat.tau_hat)
     # detect_chips skips the first chip instant, which has no lagged sample.
@@ -136,7 +136,7 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # sps shifts the chip stream forward by one; without that chip the frame
     # would overrun the buffer tail and be dropped).
     chips = np.concatenate((np.zeros(1, dtype=np.uint8), detect_chips(y, 0, 1, counter=counter)))
-    found, c0 = frame_sync_msk(chips, threshold=cfg.sync_threshold, counter=counter)
+    found, c0 = frame_sync_msk(chips, counter=counter)
     if not found or c0 + layout.total_chips > chips.size:
         return report
     frame = chips[c0 : c0 + layout.total_chips]

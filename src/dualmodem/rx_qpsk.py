@@ -23,6 +23,7 @@ import numpy as np
 
 from . import phy_frames
 from ._rxtypes import (
+    SYNC_THRESHOLD,
     CarrierEstimate,
     DemodReport,
     RxConfig,
@@ -46,6 +47,9 @@ RB_POWER = 4  # modulation-stripping exponent for QPSK constellations
 # exceeds ~4x the median, while a tone resolvable at all sits well above 5x;
 # below the threshold demodulate falls back to zero compensation.
 RB_CONFIDENCE_MIN = 5.5
+
+# Fewest symbol-spaced samples the carrier estimator accepts.
+MIN_CARRIER_SAMPLES = 64
 
 
 def matched_filter(buf: IqBuffer, counter=None, phase: int | None = None):
@@ -148,11 +152,7 @@ def elg_timing(
 
 
 def rb_carrier_estimate(
-    symbols,
-    t_sym_s: float,
-    n_fft: int = 2048,
-    min_samples: int = 64,
-    counter=None,
+    symbols, t_sym_s: float, n_fft: int = 2048, counter=None
 ) -> CarrierEstimate:
     """Frequency/phase estimate from the power-of-four spectrum.
 
@@ -167,8 +167,8 @@ def rb_carrier_estimate(
     z = np.asarray(symbols, dtype=np.complex128)
     if n_fft < 64 or n_fft & (n_fft - 1):
         raise ValueError("n_fft must be a power of two >= 64")
-    if z.size < min_samples:
-        raise ValueError(f"need at least {min_samples} symbol-spaced samples")
+    if z.size < MIN_CARRIER_SAMPLES:
+        raise ValueError(f"need at least {MIN_CARRIER_SAMPLES} symbol-spaced samples")
     w = z[:n_fft] ** RB_POWER
     spectrum = np.fft.fft(w, n_fft)
     if counter is not None:
@@ -212,17 +212,16 @@ def compensate(buf: IqBuffer, estimate: CarrierEstimate) -> IqBuffer:
     return IqBuffer(samples=out, sps=buf.sps, chip_rate_hz=buf.chip_rate_hz)
 
 
-def preamble_reference_symbols(d_init: int = 0) -> np.ndarray:
+def preamble_reference_symbols() -> np.ndarray:
     """The 128 complex QPSK symbols of the encoded, sign-adjusted preamble."""
-    enc = phy_frames.differential_encode(phy_frames.PREAMBLE_CHIPS, d_init=d_init)
+    enc = phy_frames.differential_encode(phy_frames.PREAMBLE_CHIPS)
     amps = chip_amplitudes(enc)
     return amps[0::2] + 1j * amps[1::2]
 
 
-# The reference for each differential-encoder seed d_init, built once.
-PREAMBLE_REFERENCE = tuple(preamble_reference_symbols(d) for d in (0, 1))
-for _ref in PREAMBLE_REFERENCE:
-    _ref.flags.writeable = False
+# The preamble correlator's reference, built once and shared read-only.
+PREAMBLE_REFERENCE = preamble_reference_symbols()
+PREAMBLE_REFERENCE.flags.writeable = False
 
 
 def _preamble_peak(symbols, reference, counter=None):
@@ -258,7 +257,7 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
         return report
 
     # Chip-boundary sampling phase, rotation-immune (see module docstring).
-    stat = msk_timing(buf, cfg.timing_window_symbols)
+    stat = msk_timing(buf)
     phi0 = stat.tau_hat
     report.timing = stat
 
@@ -266,11 +265,9 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # MSK phase grid makes z^4 a pure tone at 4*f_d.
     t_sym = 2.0 * sps * buf.sample_period_s
     sym_raw = z[phi0 :: 2 * sps]
-    if sym_raw.size < cfg.min_carrier_samples:
+    if sym_raw.size < MIN_CARRIER_SAMPLES:
         return report
-    est = rb_carrier_estimate(
-        sym_raw, t_sym, n_fft=cfg.n_fft, min_samples=cfg.min_carrier_samples, counter=counter
-    )
+    est = rb_carrier_estimate(sym_raw, t_sym, n_fft=cfg.n_fft, counter=counter)
     report.carrier = est
 
     # Compensate, then matched-filter the clean signal.  At low SNR the
@@ -293,19 +290,18 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # The preamble correlator runs at symbol rate; pairing consecutive
     # boundary samples re-forms QPSK symbols.  Both chip parities of the
     # frame start are tried and the stronger peak wins.
-    reference = PREAMBLE_REFERENCE[cfg.d_init]
     n_pairs0 = x.size // 2
     u0 = x[0 : 2 * n_pairs0 : 2] + x[1 : 2 * n_pairs0 : 2]
     n_pairs1 = (x.size - 1) // 2
     u1 = x[1 : 2 * n_pairs1 : 2] + x[2 : 2 * n_pairs1 + 1 : 2]
-    peak0, lag0, phase0 = _preamble_peak(u0, reference, counter=counter)
-    peak1, lag1, phase1 = _preamble_peak(u1, reference, counter=counter)
+    peak0, lag0, phase0 = _preamble_peak(u0, PREAMBLE_REFERENCE, counter=counter)
+    peak1, lag1, phase1 = _preamble_peak(u1, PREAMBLE_REFERENCE, counter=counter)
     if peak0 >= peak1:
         peak, parity, m0, delta_hat = peak0, 0, lag0, phase0
     else:
         peak, parity, m0, delta_hat = peak1, 1, lag1, phase1
     r0 = 2 * m0 + parity
-    if not peak >= cfg.sync_threshold or r0 + layout.total_chips > x.size:
+    if not peak >= SYNC_THRESHOLD or r0 + layout.total_chips > x.size:
         return report
 
     # Slice chips on their own rail axis; the data-aided correlation angle
@@ -319,5 +315,5 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # encoding.
     pattern = np.tile(SIGN_PATTERN_BITS, layout.total_chips // 4 + 1)[: layout.total_chips]
     encoded = sliced ^ pattern
-    source = phy_frames.differential_decode(encoded, d_init=cfg.d_init)
+    source = phy_frames.differential_decode(encoded)
     return finish_frame(report, source, phi0 + (r0 - 1) * sps, counter)

@@ -24,16 +24,7 @@ from . import phy_frames, rx_msk, rx_qpsk
 from ._rxtypes import RxConfig
 from .channel_model import ChannelParams, apply as channel_apply
 from .complexity_meter import ComplexityParams, msk_op_counts, qpsk_op_counts
-from .mode_controller import (
-    DEFAULT_K_DOWN,
-    DEFAULT_K_UP,
-    DEFAULT_MATCH_THRESHOLD,
-    MODE_MSK,
-    MODE_QPSK,
-    ModeState,
-    step_mode,
-    verdict_from_match,
-)
+from .mode_controller import DEFAULT_MATCH_THRESHOLD, MODE_MSK, MODE_QPSK, ModeState, step_mode
 from .tx_oqpsk import IqBuffer, modulate
 
 CSV_COLUMNS = (
@@ -78,8 +69,7 @@ class SweepConfig:
             raise ValueError("packets_per_point must be at least 1")
         if self.mode not in (MODE_QPSK, MODE_MSK, MODE_AUTO):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.payload_bits % 4 or self.payload_bits <= 0:
-            raise ValueError("payload_bits must be a positive multiple of 4")
+        RxConfig(self.payload_bits, self.n_fft)  # validates the receiver settings
 
     def snr_grid(self) -> np.ndarray:
         n = int(np.floor((self.snr_stop_db - self.snr_start_db) / self.snr_step_db + 1e-9)) + 1
@@ -238,9 +228,8 @@ def _sweep_point_auto(cfg: SweepConfig, snr_db: float, snr_index: int) -> SweepP
     for p in range(cfg.packets_per_point):
         rec = run_packet(cfg, snr_db, snr_index, p, state.mode)
         records.append(rec)
-        match = rec.preamble_match if rec.frame_found else 0
-        verdict = verdict_from_match(match, threshold=cfg.match_threshold)
-        state = step_mode(state, verdict, k_up=DEFAULT_K_UP, k_down=DEFAULT_K_DOWN)
+        # A missed frame reports 0 preamble matches.
+        state = step_mode(state, rec.preamble_match >= cfg.match_threshold)
     return _aggregate_point(cfg, snr_db, records, MODE_AUTO)
 
 

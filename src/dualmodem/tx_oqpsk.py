@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phy_frames import ChipStream
-
 CHIP_RATE_HZ = 2_000_000.0
 
 # Per-chip sign factor, period 4 in the chip index: +1 -1 -1 +1.  Chosen so
@@ -82,25 +80,17 @@ def chip_amplitudes(chips, start_index: int = 0) -> np.ndarray:
     return (2.0 * chips - 1.0) * sign_pattern(chips.size, start_index)
 
 
-def modulate(
-    chips,
-    sps: int = 8,
-    chip_rate_hz: float = CHIP_RATE_HZ,
-    head_bit: int = 0,
-    tail_bit: int = 0,
-) -> IqBuffer:
+def modulate(chips, sps: int = 8, chip_rate_hz: float = CHIP_RATE_HZ) -> IqBuffer:
     """O-QPSK/half-sine modulate a chip stream.
 
     Returns (n_chips + 1) * sps complex samples: the Q rail trails the I rail
-    by one chip.  Two half-pulse ramp chips are folded into the burst edges
-    (head_bit before chip 0, tail_bit after the last chip) so the envelope is
-    constant over the whole buffer and chip 0 has a phase ramp like every
-    other chip; they occupy the same (n_chips + 1) * sps span.  head_bit must
-    equal the differential-encoder seed for the first-chip ramp to carry the
-    frame's first source chip.
+    by one chip.  Two half-pulse ramp chips of value 0 are folded into the
+    burst edges (one before chip 0, one after the last chip) so the envelope
+    is constant over the whole buffer and chip 0 has a phase ramp like every
+    other chip; they occupy the same (n_chips + 1) * sps span.  The head chip
+    is 0 because the differential encoder's seed is 0, so the first-chip ramp
+    carries the frame's first source chip.
     """
-    if isinstance(chips, ChipStream):
-        chips = chips.chips
     chips = np.asarray(chips, dtype=np.uint8)
     if chips.ndim != 1 or chips.size == 0:
         raise ValueError("need a one-dimensional, non-empty chip vector")
@@ -113,10 +103,10 @@ def modulate(
     n_pulse = 2 * sps
     pulse = half_sine_taps(n_pulse)
     amps = chip_amplitudes(chips)
-    # Virtual edge chips at indices -1 and n_chips keep the sign pattern's
+    # Virtual 0 chips at indices -1 and n_chips keep the sign pattern's
     # index arithmetic.
-    head_amp = chip_amplitudes(np.array([head_bit]), start_index=-1)[0]
-    tail_amp = chip_amplitudes(np.array([tail_bit]), start_index=n_chips)[0]
+    head_amp = -sign_pattern(1, start_index=-1)[0]
+    tail_amp = -sign_pattern(1, start_index=n_chips)[0]
 
     out = np.zeros((n_chips + 1) * sps, dtype=np.complex128)
     i_rail, q_rail = out.real, out.imag

@@ -45,7 +45,7 @@ def test_fractional_delay_requires_flag():
         ChannelParams(tau_samples=-1)
 
 
-@pytest.mark.parametrize("field", ["f_d_hz", "theta_rad", "tau_samples"])
+@pytest.mark.parametrize("field", ["f_d_hz", "theta_rad", "tau_samples", "snr_db"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_impairments_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):

@@ -44,14 +44,14 @@ def test_msk_stage_values():
     str_stage = _stage(report, STAGE_STR)
     assert str_stage.additions == 1_024
     assert str_stage.multiplications == 2_048
-    assert str_stage.other_as_dict()["comparisons"] == 7
+    assert dict(str_stage.other)["comparisons"] == 7
     sync = _stage(report, STAGE_FRAME_SYNC)
     assert sync.additions == 63**2 == 3_969
     assert sync.multiplications == 64**2 == 4_096
     c2s = _stage(report, STAGE_CHIP_TO_SYMBOL)
     assert c2s.additions == 24_800
-    assert c2s.other_as_dict() == {"XOR": 25_600, "comparisons": 750}
-    assert _stage(report, STAGE_BIT_DETECT).other_as_dict() == {"comparisons": 200}
+    assert dict(c2s.other) == {"XOR": 25_600, "comparisons": 750}
+    assert dict(_stage(report, STAGE_BIT_DETECT).other) == {"comparisons": 200}
 
 
 def test_qpsk_totals_exact():
@@ -65,11 +65,11 @@ def test_qpsk_stage_values():
     mf = _stage(report, STAGE_MF_STR)
     assert mf.additions == 32 * 2 * 15**2 == 14_400
     assert mf.multiplications == 32 * 2 * 16**2 == 16_384
-    assert mf.other_as_dict()["comparisons"] == 96
+    assert dict(mf.other)["comparisons"] == 96
     carrier = _stage(report, STAGE_CARRIER)
     assert carrier.additions == 61_448
     assert carrier.multiplications == 20_488
-    assert carrier.other_as_dict()["arctan"] == 1
+    assert dict(carrier.other)["arctan"] == 1
 
 
 def test_fft_op_counts_closed_form():
@@ -152,8 +152,8 @@ def test_tally_despread_matches_closed_form():
     closed = msk_op_counts(ComplexityParams())
     c2s = _stage(closed, STAGE_CHIP_TO_SYMBOL)
     assert c.despread_adds == c2s.additions
-    assert c.despread_xors == c2s.other_as_dict()["XOR"]
-    assert c.despread_comparisons == c2s.other_as_dict()["comparisons"]
+    assert c.despread_xors == dict(c2s.other)["XOR"]
+    assert c.despread_comparisons == dict(c2s.other)["comparisons"]
 
 
 def test_to_report_skips_empty_stages():

@@ -3,23 +3,14 @@
 import numpy as np
 import pytest
 
+from dualmodem import sim_harness
 from dualmodem.mode_controller import (
-    DEFAULT_MATCH_THRESHOLD,
     MODE_MSK,
     MODE_QPSK,
     ModeState,
     preamble_match_count,
     step_mode,
-    verdict_from_match,
 )
-
-
-def _good():
-    return verdict_from_match(256)
-
-
-def _poor():
-    return verdict_from_match(100)
 
 
 def _run(verdicts):
@@ -40,32 +31,40 @@ def test_preamble_match_count():
         preamble_match_count(ref[:128], ref)
 
 
-def test_verdict_threshold_edge():
-    assert verdict_from_match(DEFAULT_MATCH_THRESHOLD).good
-    assert not verdict_from_match(DEFAULT_MATCH_THRESHOLD - 1).good
-    v = verdict_from_match(250, threshold=251)
-    assert not v.good and v.match_count == 250 and v.threshold == 251
+def test_verdict_threshold_edge(monkeypatch):
+    # The auto sweep counts a packet good once its preamble match count
+    # reaches the threshold; three good packets promote the fourth to msk.
+    cfg = sim_harness.SweepConfig(
+        snr_start_db=0.0, snr_stop_db=0.0, packets_per_point=4, mode="auto", match_threshold=251
+    )
+    for match, msk_fraction in ((251, 0.25), (250, 0.0)):
+
+        def run_packet(cfg, snr_db, snr_index, packet_index, mode, match=match):
+            return sim_harness.PacketRecord(snr_db, mode, True, 0, match, cfg.payload_bits)
+
+        monkeypatch.setattr(sim_harness, "run_packet", run_packet)
+        assert sim_harness.ber_sweep(cfg).points[0].msk_fraction == msk_fraction
 
 
 def test_promotion_needs_k_up_consecutive_good():
     state = ModeState()
-    state = step_mode(state, _good())
-    state = step_mode(state, _good())
+    state = step_mode(state, True)
+    state = step_mode(state, True)
     assert state.mode == MODE_QPSK and state.good_run == 2
-    state = step_mode(state, _good())
+    state = step_mode(state, True)
     assert state.mode == MODE_MSK
     assert state.switch_count == 1
 
 
 def test_poor_verdict_resets_good_run():
-    state = _run([_good(), _good(), _poor(), _good(), _good()])
+    state = _run([True, True, False, True, True])
     assert state.mode == MODE_QPSK and state.good_run == 2
 
 
 def test_single_poor_demotes_from_msk():
-    state = _run([_good()] * 3)
+    state = _run([True] * 3)
     assert state.mode == MODE_MSK
-    state = step_mode(state, _poor())
+    state = step_mode(state, False)
     assert state.mode == MODE_QPSK
     assert state.switch_count == 2
 
@@ -73,24 +72,9 @@ def test_single_poor_demotes_from_msk():
 def test_alternating_verdicts_never_promote():
     state = ModeState()
     for _ in range(20):
-        state = step_mode(state, _good())
-        state = step_mode(state, _poor())
+        state = step_mode(state, True)
+        state = step_mode(state, False)
         assert state.mode == MODE_QPSK
-
-
-def test_override_pins_mode_but_tracks_runs():
-    state = ModeState()
-    for _ in range(5):
-        state = step_mode(state, _good(), override=MODE_QPSK)
-    assert state.mode == MODE_QPSK and state.good_run == 5
-    with pytest.raises(ValueError):
-        step_mode(state, _good(), override="both")
-
-
-def test_history_is_trimmed():
-    state = _run([_good()] * 12)
-    assert len(state.history) == 8
-    assert all(state.history)
 
 
 def test_mode_state_validation():

@@ -82,15 +82,6 @@ def test_bits_to_symbols_rejects_bad_input():
 # ---------------------------------------------------------------------------
 
 
-def test_spread_symbol_returns_table_row_copy():
-    for s in range(16):
-        row = pf.spread_symbol(s)
-        assert np.array_equal(row, pf.CHIP_TABLE[s])
-    row = pf.spread_symbol(0)
-    row[0] ^= 1
-    assert not np.array_equal(row, pf.CHIP_TABLE[0])  # caller got a copy
-
-
 def test_spread_symbols_concatenates():
     out = pf.spread_symbols([3, 12])
     assert out.size == 64
@@ -152,26 +143,21 @@ def test_despread_rejects_wrong_sizes():
 
 def test_differential_encode_definition():
     chips = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-    for d_init in (0, 1):
-        enc = pf.differential_encode(chips, d_init)
-        prev = d_init
-        for k, c in enumerate(chips):
-            prev = c ^ prev
-            assert enc[k] == prev
+    enc = pf.differential_encode(chips)
+    assert enc.dtype == np.uint8
+    prev = 0  # the encoder seed
+    for k, c in enumerate(chips):
+        prev = c ^ prev
+        assert enc[k] == prev
 
 
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=100), st.integers(0, 1))
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=100))
 @settings(max_examples=40, deadline=None)
-def test_differential_round_trip(chips, d_init):
-    enc = pf.differential_encode(chips, d_init)
-    assert np.array_equal(pf.differential_decode(enc, d_init), chips)
-
-
-def test_differential_rejects_bad_seed():
-    with pytest.raises(ValueError):
-        pf.differential_encode([1, 0], d_init=2)
-    with pytest.raises(ValueError):
-        pf.differential_decode([1, 0], d_init=-1)
+def test_differential_round_trip(chips):
+    enc = pf.differential_encode(chips)
+    dec = pf.differential_decode(enc)
+    assert dec.dtype == np.uint8
+    assert np.array_equal(dec, chips)
 
 
 # ---------------------------------------------------------------------------
@@ -191,27 +177,27 @@ def test_frame_layout_chip_counts():
 
 
 def test_preamble_is_eight_repeats_of_row_0():
-    pre = pf.preamble_chips()
+    pre = pf.PREAMBLE_CHIPS
     assert pre.size == 256
     assert np.array_equal(pre.reshape(8, 32), np.tile(pf.CHIP_TABLE[0], (8, 1)))
-    assert not pf.preamble_bits().any()
+    # 32 all-zero bits spread to the same chips.
+    assert np.array_equal(pre, pf.spread_symbols(pf.bits_to_symbols(np.zeros(32))))
+
+
+def test_preamble_chips_are_read_only():
+    with pytest.raises(ValueError):
+        pf.PREAMBLE_CHIPS[0] ^= 1
 
 
 def test_build_frame_is_encoded_source_stream():
     rng = np.random.default_rng(3)
     payload = rng.integers(0, 2, 40).astype(np.uint8)
-    frame = pf.build_frame(payload, d_init=0)
-    assert len(frame) == 256 + 8 * payload.size
+    frame = pf.build_frame(payload)
+    assert frame.dtype == np.uint8 and frame.shape == (256 + 8 * payload.size,)
     source = pf.frame_source_chips(payload)
-    assert np.array_equal(frame.chips, pf.differential_encode(source, 0))
-    assert np.array_equal(source[:256], pf.preamble_chips())
+    assert np.array_equal(frame, pf.differential_encode(source))
+    assert np.array_equal(source[:256], pf.PREAMBLE_CHIPS)
     assert np.array_equal(
         source[256:], pf.spread_symbols(pf.bits_to_symbols(payload))
     )
 
-
-def test_chip_stream_validation():
-    with pytest.raises(ValueError):
-        pf.ChipStream(chips=np.zeros((2, 2), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        pf.ChipStream(chips=np.array([0, 2], dtype=np.uint8))

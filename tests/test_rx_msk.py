@@ -8,6 +8,7 @@ from dualmodem._rxtypes import RxConfig
 from dualmodem.channel_model import ChannelParams, apply
 from dualmodem.complexity_meter import RuntimeCounters
 from dualmodem.rx_msk import (
+    TIMING_WINDOW_SYMBOLS,
     demodulate,
     detect_chips,
     diff_detect,
@@ -110,7 +111,6 @@ def test_msk_timing_recovers_every_phase():
         stat = msk_timing(delayed)
         assert stat.tau_hat == d, d
         assert stat.v.size == SPS
-        assert stat.complete
 
 
 def test_msk_timing_offset_immune():
@@ -136,10 +136,10 @@ def test_msk_timing_monte_carlo_10db():
     assert hits >= 475, hits  # >= 95% of 500
 
 
-def _msk_timing_full_buffer(z, sps, window_symbols):
+def _msk_timing_full_buffer(z, sps):
     """The timing statistic with lag products formed over the whole buffer."""
     c = (z[sps:] * np.conj(z[:-sps])) ** 2
-    use = min(window_symbols, c.size // sps)
+    use = min(TIMING_WINDOW_SYMBOLS, c.size // sps)
     v = c[: use * sps].reshape(use, sps).mean(axis=0)
     return v, int(np.argmax(np.abs(v)))
 
@@ -147,21 +147,21 @@ def _msk_timing_full_buffer(z, sps, window_symbols):
 def test_msk_timing_head_matches_full_buffer():
     sizes = (2 * SPS, 3 * SPS - 1, 200, 513, 520, 4_096, EXACT_MAX_SAMPLES)
     for buf in _noisy_buffers(23, sizes):
-        for window in (1, 5, 64):
-            v, tau_hat = _msk_timing_full_buffer(buf.samples, SPS, window)
-            stat = msk_timing(buf, window)
-            assert np.array_equal(stat.v, v), (len(buf), window)
-            assert stat.tau_hat == tau_hat
+        v, tau_hat = _msk_timing_full_buffer(buf.samples, SPS)
+        stat = msk_timing(buf)
+        assert np.array_equal(stat.v, v), len(buf)
+        assert stat.tau_hat == tau_hat
 
 
 def test_msk_timing_short_window():
     rng = np.random.default_rng(5)
-    buf = _buf(np.exp(1j * rng.uniform(-np.pi, np.pi, 40)))
-    stat = msk_timing(buf, window_symbols=64)
-    assert not stat.complete
-    assert stat.window_used == 4
-    with pytest.raises(ValueError):
-        msk_timing(buf, window_symbols=0)
+    z = np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+    # 40 samples hold 4 one-chip lag products per phase, short of the
+    # 64-chip window: the statistic averages the 4 there are.
+    stat = msk_timing(_buf(z))
+    want = ((z[SPS:] * np.conj(z[:-SPS])) ** 2).reshape(4, SPS).mean(axis=0)
+    assert np.array_equal(stat.v, want)
+    assert stat.tau_hat == int(np.argmax(np.abs(want)))
     with pytest.raises(ValueError):
         msk_timing(_buf(np.zeros(10)))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualmodem import phy_frames as pf
-from dualmodem._rxtypes import CarrierEstimate, RxConfig
+from dualmodem._rxtypes import SYNC_THRESHOLD, CarrierEstimate, RxConfig
 from dualmodem.channel_model import ChannelParams, apply
 from dualmodem.complexity_meter import RuntimeCounters
 from dualmodem.rx_qpsk import (
@@ -276,6 +276,14 @@ def test_compensate_residual_grows_linearly():
 # ---------------------------------------------------------------------------
 
 
+def test_rx_config_validation():
+    RxConfig(payload_bits=8, n_fft=64)  # the smallest valid settings
+    for kwargs in ({"payload_bits": 0}, {"payload_bits": 6}, {"n_fft": 0}, {"n_fft": 32},
+                   {"n_fft": 1000}):
+        with pytest.raises(ValueError):
+            RxConfig(**kwargs)
+
+
 def test_preamble_reference_shape_and_alphabet():
     ref = preamble_reference_symbols()
     assert ref.size == 128
@@ -283,10 +291,16 @@ def test_preamble_reference_shape_and_alphabet():
     assert np.isin(ref.real, (-1.0, 1.0)).all() and np.isin(ref.imag, (-1.0, 1.0)).all()
 
 
+def test_preamble_reference_is_shared_read_only():
+    assert np.array_equal(PREAMBLE_REFERENCE, preamble_reference_symbols())
+    with pytest.raises(ValueError):
+        PREAMBLE_REFERENCE[0] = 0.0
+
+
 def frame_sync_qpsk(symbols, counter=None):
-    """(found, lag) of the preamble peak at the chain's default 0.5 threshold."""
-    peak, lag, _ = _preamble_peak(symbols, PREAMBLE_REFERENCE[0], counter=counter)
-    return peak >= RxConfig().sync_threshold, lag
+    """(found, lag) of the preamble peak at the chain's sync threshold."""
+    peak, lag, _ = _preamble_peak(symbols, PREAMBLE_REFERENCE, counter=counter)
+    return peak >= SYNC_THRESHOLD, lag
 
 
 def test_frame_sync_qpsk_finds_offsets():

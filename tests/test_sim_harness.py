@@ -60,6 +60,8 @@ def test_sweep_config_validation():
         SweepConfig(mode="fsk")
     with pytest.raises(ValueError):
         SweepConfig(payload_bits=30)
+    with pytest.raises(ValueError, match="n_fft"):
+        SweepConfig(n_fft=1000)
 
 
 def test_parse_config_and_precedence(tmp_path):
@@ -308,6 +310,11 @@ def test_cli_rejects_zero_settings(tmp_path):
     iq_export(modulate(pf.build_frame(np.zeros(200, dtype=np.uint8))), path)
     with pytest.raises(ValueError):
         main(["decode", str(path), "--payload-bits", "0"])
+    # msk never reads n_fft, but the setting is checked all the same.
+    with pytest.raises(ValueError, match="n_fft"):
+        main(["decode", str(path), "--mode", "msk", "--nfft", "0"])
+    with pytest.raises(ValueError, match="n_fft"):
+        main(["sweep", "--nfft", "0", "--packets", "1"])
 
 
 def test_module_selftest_runs_without_warnings():
