@@ -42,6 +42,12 @@ class ChannelParams:
         self.theta_rad = t
 
 
+def check_offset(f_d_hz: float, chip_rate_hz: float) -> None:
+    """Raise unless |f_d_hz| stays below half the chip rate."""
+    if abs(f_d_hz) >= chip_rate_hz / 2.0:
+        raise ValueError("f_d magnitude must stay below half the chip rate")
+
+
 def noise_sigma(snr_db: float) -> float:
     """Total complex noise standard deviation for unit signal power."""
     return math.sqrt(10.0 ** (-snr_db / 10.0))
@@ -77,8 +83,7 @@ def apply(buf: IqBuffer, params: ChannelParams) -> IqBuffer:
     single phasor.  The noise is added to the output in place: first
     its real draws, then its imaginary ones, both drawn into one array.
     """
-    if abs(params.f_d_hz) >= buf.chip_rate_hz / 2.0:
-        raise ValueError("f_d magnitude must stay below half the chip rate")
+    check_offset(params.f_d_hz, buf.chip_rate_hz)
     x = buf.samples
     if params.tau_samples == 0:
         out = x.copy()

@@ -42,6 +42,11 @@ CHIP_TABLE = np.array(
     [[int(c) for c in row] for row in CHIP_TABLE_BITS], dtype=np.uint8
 )
 
+# The table rows packed 8 chips to a byte, one uint32 word per row, and the
+# set-bit count of every byte value, for despread_stream.
+_PACKED_TABLE = np.packbits(CHIP_TABLE, axis=1).view(np.uint32).reshape(-1)
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
 
 @dataclass(frozen=True)
 class FrameLayout:
@@ -63,17 +68,29 @@ class FrameLayout:
         return self.preamble_chips + self.payload_chips
 
 
+def as_bits(values, what: str = "bits") -> np.ndarray:
+    """`values` as a uint8 array; raises ValueError unless every entry is
+    exactly 0 or 1, so 0.7 or 2 is never cast to a valid bit."""
+    arr = np.asarray(values)
+    if arr.size:
+        if arr.dtype == np.uint8:
+            ok = arr.max() <= 1
+        else:
+            ok = bool(((arr == 0) | (arr == 1)).all())
+        if not ok:
+            raise ValueError(f"{what} must be 0/1 valued")
+    return arr.astype(np.uint8, copy=False)
+
+
 def bits_to_symbols(bits) -> np.ndarray:
     """Group bits LSB-first into 4-bit symbol indices.
 
     bits[0] is the least significant bit of the first symbol, so
     [1,0,0,0] -> 1 and [0,0,0,1] -> 8.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = as_bits(bits)
     if bits.size % BITS_PER_SYMBOL:
         raise ValueError("bit count must be divisible by 4")
-    if bits.size and bits.max() > 1:
-        raise ValueError("bits must be 0/1 valued")
     groups = bits.reshape(-1, BITS_PER_SYMBOL).astype(np.int64)
     weights = 1 << np.arange(BITS_PER_SYMBOL)
     return (groups * weights).sum(axis=1)
@@ -119,13 +136,21 @@ def despread_stream(chips, counter=None) -> tuple[np.ndarray, np.ndarray]:
     chips = np.asarray(chips, dtype=np.uint8)
     if chips.size % CHIPS_PER_SYMBOL:
         raise ValueError("chip count must be divisible by 32")
-    blocks = chips.reshape(-1, CHIPS_PER_SYMBOL)
-    # distances[i, s] = Hamming distance of block i to table row s
-    distances = (blocks[:, None, :] ^ CHIP_TABLE[None, :, :]).sum(axis=2)
+    # One 32-chip block per uint32 word, XORed with every table row.
+    words = np.packbits(chips.reshape(-1, CHIPS_PER_SYMBOL), axis=1).view(np.uint32)
+    differ = (words ^ _PACKED_TABLE).view(np.uint8)
+    # distances[i, s] = Hamming distance of block i to table row s: the set
+    # bits of each byte, read from the table into the byte's place, then
+    # summed into the top byte by the multiply (no sum exceeds 32, so no
+    # byte carries, and the byte order does not matter).
+    counts = np.take(_POPCOUNT, differ).view(np.uint32)
+    distances = (counts * 0x01010101) >> 24
     symbols = distances.argmin(axis=1)
+    n_blocks = words.shape[0]
     if counter is not None:
-        counter.tally_despread(blocks.shape[0])
-    return symbols, distances[np.arange(blocks.shape[0]), symbols]
+        counter.tally_despread(n_blocks)
+    # Distances come back in np.uint, numpy's dtype for sums of uint8.
+    return symbols, distances[np.arange(n_blocks), symbols].astype(np.uint)
 
 
 def differential_encode(chips) -> np.ndarray:
@@ -156,7 +181,7 @@ PREAMBLE_CHIPS.flags.writeable = False
 def frame_source_chips(payload_bits) -> np.ndarray:
     """The frame chip stream before differential encoding: preamble chips
     followed by the spread payload."""
-    payload_bits = np.asarray(payload_bits, dtype=np.uint8)
+    payload_bits = as_bits(payload_bits)
     FrameLayout(payload_bits=payload_bits.size)  # validates the payload length
     return np.concatenate([PREAMBLE_CHIPS, spread_symbols(bits_to_symbols(payload_bits))])
 

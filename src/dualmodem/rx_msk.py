@@ -20,12 +20,17 @@ from ._rxtypes import (
     DemodReport,
     MskTimingStat,
     RxConfig,
+    comb_correlate,
     earliest_peak,
     finish_frame,
+    preamble_block,
 )
 from .tx_oqpsk import IqBuffer
 
 DIFF_DETECT_EPS = 1e-12
+
+# Antipodal preamble block: 32 chips of symbol 0, repeated 8 times.
+PREAMBLE_BLOCK = preamble_block(2.0 * phy_frames.PREAMBLE_CHIPS - 1.0)
 
 # Lag products averaged by msk_timing: the first 64 chips of the buffer.
 TIMING_WINDOW_SYMBOLS = 64
@@ -103,16 +108,17 @@ def frame_sync_msk(chips, counter=None) -> tuple[bool, int]:
 
     Slides a 256-chip antipodal correlation; the peak, normalized by the
     preamble length, must reach SYNC_THRESHOLD.  Returns (found, start_chip).
+    The correlation is a comb of 32-chip ones (_rxtypes.comb_correlate);
+    every partial sum is an integer, so it equals the 256-chip one exactly.
     """
     chips = np.asarray(chips, dtype=np.uint8)
-    reference = phy_frames.PREAMBLE_CHIPS
-    if chips.size < reference.size:
+    n_ref = phy_frames.PREAMBLE_CHIPS.size
+    if chips.size < n_ref:
         return False, 0
     x = 2.0 * chips - 1.0
-    r = 2.0 * reference - 1.0
-    corr = np.correlate(x, r, mode="valid") / reference.size
+    corr = comb_correlate(x, PREAMBLE_BLOCK) / n_ref
     if counter is not None:
-        counter.tally_correlation_search(reference.size, corr.size)
+        counter.tally_correlation_search(n_ref, corr.size)
     peak, best = earliest_peak(corr)
     return bool(peak >= SYNC_THRESHOLD), best
 

@@ -28,8 +28,10 @@ from ._rxtypes import (
     DemodReport,
     RxConfig,
     TimingEstimate,
+    comb_correlate,
     earliest_peak,
     finish_frame,
+    preamble_block,
 )
 from .channel_model import phasor_ramp
 from .rx_msk import msk_timing
@@ -186,7 +188,7 @@ def rb_carrier_estimate(
         k -= n_fft
     f4_hz = k / (n_fft * t_sym_s)
     theta_hat = float(np.angle(spectrum[peak])) / RB_POWER
-    floor = float(np.median(mag))
+    floor = _median(mag)
     return CarrierEstimate(
         f_d_hat_hz=f4_hz / RB_POWER,
         theta_hat_rad=theta_hat,
@@ -195,6 +197,17 @@ def rb_carrier_estimate(
         # A NaN floor (NaN input) gives a NaN ratio, which the gate rejects.
         peak_to_median=float(m0) / floor if floor != 0.0 else float("inf"),
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of an even-length array, by one partition: the mean of
+    the two middle values, or NaN if any value is NaN."""
+    half = values.size // 2
+    # NaNs sort last, so the last entry is NaN exactly when any value is.
+    part = np.partition(values, (half - 1, half, -1))
+    if np.isnan(part[-1]):
+        return float("nan")
+    return float((part[half - 1] + part[half]) / 2.0)
 
 
 def compensate(buf: IqBuffer, estimate: CarrierEstimate) -> IqBuffer:
@@ -222,25 +235,31 @@ def preamble_reference_symbols() -> np.ndarray:
 # The preamble correlator's reference, built once and shared read-only.
 PREAMBLE_REFERENCE = preamble_reference_symbols()
 PREAMBLE_REFERENCE.flags.writeable = False
+# Its 16-symbol block, repeated 8 times.
+PREAMBLE_BLOCK = preamble_block(PREAMBLE_REFERENCE)
+_REFERENCE_ENERGY = float(np.sum(np.abs(PREAMBLE_REFERENCE) ** 2))
 
 
-def _preamble_peak(symbols, reference, counter=None):
-    """Best normalized complex correlation: (peak, lag, phase_at_peak).
+def _preamble_peak(symbols, counter=None):
+    """Best normalized complex correlation with PREAMBLE_REFERENCE:
+    (peak, lag, phase_at_peak).
 
     The peak is the magnitude of the sliding complex correlation, which is
     invariant to the fourfold phase ambiguity left by the power-of-four
-    estimator; the residual rotation is the angle at the peak.
+    estimator; the residual rotation is the angle at the peak.  The
+    correlation is a comb of 16-symbol ones (_rxtypes.comb_correlate),
+    equal to the 128-symbol one up to float64 rounding.
     """
     u = np.asarray(symbols, dtype=np.complex128)
-    ref = np.asarray(reference, dtype=np.complex128)
-    if u.size < ref.size:
+    n_ref = PREAMBLE_REFERENCE.size
+    if u.size < n_ref:
         return 0.0, 0, 0.0
-    corr = np.correlate(u, ref, mode="valid")
+    corr = comb_correlate(u, PREAMBLE_BLOCK)
     if counter is not None:
-        counter.tally_correlation_search(ref.size, corr.size)
+        counter.tally_correlation_search(n_ref, corr.size)
     energy = np.concatenate(([0.0], np.cumsum(np.abs(u) ** 2)))
-    win = energy[ref.size :] - energy[: -ref.size]
-    norm = np.abs(corr) / (np.sqrt(win * np.sum(np.abs(ref) ** 2)) + 1e-30)
+    win = energy[n_ref:] - energy[:-n_ref]
+    norm = np.abs(corr) / (np.sqrt(win * _REFERENCE_ENERGY) + 1e-30)
     peak, lag = earliest_peak(norm)
     return peak, lag, float(np.angle(corr[lag]))
 
@@ -294,8 +313,8 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     u0 = x[0 : 2 * n_pairs0 : 2] + x[1 : 2 * n_pairs0 : 2]
     n_pairs1 = (x.size - 1) // 2
     u1 = x[1 : 2 * n_pairs1 : 2] + x[2 : 2 * n_pairs1 + 1 : 2]
-    peak0, lag0, phase0 = _preamble_peak(u0, PREAMBLE_REFERENCE, counter=counter)
-    peak1, lag1, phase1 = _preamble_peak(u1, PREAMBLE_REFERENCE, counter=counter)
+    peak0, lag0, phase0 = _preamble_peak(u0, counter=counter)
+    peak1, lag1, phase1 = _preamble_peak(u1, counter=counter)
     if peak0 >= peak1:
         peak, parity, m0, delta_hat = peak0, 0, lag0, phase0
     else:

@@ -22,10 +22,10 @@ import numpy as np
 
 from . import phy_frames, rx_msk, rx_qpsk
 from ._rxtypes import RxConfig
-from .channel_model import ChannelParams, apply as channel_apply
+from .channel_model import ChannelParams, apply as channel_apply, check_offset
 from .complexity_meter import ComplexityParams, msk_op_counts, qpsk_op_counts
 from .mode_controller import DEFAULT_MATCH_THRESHOLD, MODE_MSK, MODE_QPSK, ModeState, step_mode
-from .tx_oqpsk import IqBuffer, modulate
+from .tx_oqpsk import CHIP_RATE_HZ, IqBuffer, modulate
 
 CSV_COLUMNS = (
     "snr_db",
@@ -70,6 +70,11 @@ class SweepConfig:
         if self.mode not in (MODE_QPSK, MODE_MSK, MODE_AUTO):
             raise ValueError(f"unknown mode {self.mode!r}")
         RxConfig(self.payload_bits, self.n_fft)  # validates the receiver settings
+        theta = 0.0 if self.theta_rad is None else self.theta_rad
+        ChannelParams(self.f_d_hz, theta, self.tau_samples)  # validates the impairments
+        check_offset(self.f_d_hz, CHIP_RATE_HZ)
+        if not 0 <= self.match_threshold <= phy_frames.PREAMBLE_CHIPS.size:
+            raise ValueError("match_threshold must lie in [0, 256]")
 
     def snr_grid(self) -> np.ndarray:
         n = int(np.floor((self.snr_stop_db - self.snr_start_db) / self.snr_step_db + 1e-9)) + 1
@@ -233,9 +238,49 @@ def _sweep_point_auto(cfg: SweepConfig, snr_db: float, snr_index: int) -> SweepP
     return _aggregate_point(cfg, snr_db, records, MODE_AUTO)
 
 
+# One packet allocates under eight full-length complex128 buffers' worth: the
+# modulated burst, the channel output with its phase ramp and noise, the
+# compensated copy with its ramp, and the matched filter's padded input.
+# Twice that leaves room for heap fragmentation.
+_BUFFERS_PER_PACKET = 16
+# glibc raises its thresholds only for blocks up to 32 MiB (64-bit).
+_MAX_RELEASE_BYTES = 31 * 2**20
+# Size of the largest block _hold_freed_pages has released in this process.
+_released_bytes = 0
+
+
+def _hold_freed_pages(nbytes: int) -> None:
+    """Keep freed packet buffers mapped for the rest of the process.
+
+    glibc serves blocks above M_MMAP_THRESHOLD (128 KiB at start) with
+    mmap, and trims the heap top once it passes M_TRIM_THRESHOLD, so every
+    full-length packet buffer goes back to the kernel when freed and faults
+    its pages in again in the next packet.  Releasing one mmapped block
+    raises M_MMAP_THRESHOLD to its size and M_TRIM_THRESHOLD to twice that
+    (mallopt(3)); a block at least as large as everything one packet
+    allocates then keeps each packet's buffers on the heap, where the next
+    packet reuses the pages.  The block is never written, so it costs no
+    page faults.  Elsewhere than glibc the allocation is harmless.
+    """
+    global _released_bytes
+    nbytes = min(nbytes, _MAX_RELEASE_BYTES)
+    if nbytes > _released_bytes:
+        block = np.empty(nbytes, dtype=np.uint8)
+        del block
+        _released_bytes = nbytes
+
+
+def _packet_buffer_bytes(cfg: SweepConfig) -> int:
+    layout = phy_frames.FrameLayout(payload_bits=cfg.payload_bits)
+    samples = (layout.total_chips + 1) * cfg.sps + int(cfg.tau_samples)
+    return _BUFFERS_PER_PACKET * samples * np.dtype(np.complex128).itemsize
+
+
 def ber_sweep(cfg: SweepConfig, workers: int = 0) -> SweepResult:
     """Run the whole SNR grid; workers > 1 parallelizes fixed-mode sweeps."""
     grid = [float(snr_db) for snr_db in cfg.snr_grid()]
+    buffer_bytes = _packet_buffer_bytes(cfg)
+    _hold_freed_pages(buffer_bytes)
     if cfg.mode == MODE_AUTO:
         points = [_sweep_point_auto(cfg, snr, snr_index) for snr_index, snr in enumerate(grid)]
         return SweepResult(config=cfg, points=tuple(points))
@@ -247,7 +292,9 @@ def ber_sweep(cfg: SweepConfig, workers: int = 0) -> SweepResult:
     )
     if workers > 1:
         # One pool for the whole sweep; map keeps task order.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_hold_freed_pages, initargs=(buffer_bytes,)
+        ) as pool:
             points = _points_in_order(cfg, grid, pool.map(_run_packet_task, tasks, chunksize=64))
     else:
         points = _points_in_order(cfg, grid, map(_run_packet_task, tasks))

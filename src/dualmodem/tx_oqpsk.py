@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phy_frames import as_bits
+
 CHIP_RATE_HZ = 2_000_000.0
 
 # Per-chip sign factor, period 4 in the chip index: +1 -1 -1 +1.  Chosen so
@@ -91,11 +93,9 @@ def modulate(chips, sps: int = 8, chip_rate_hz: float = CHIP_RATE_HZ) -> IqBuffe
     is 0 because the differential encoder's seed is 0, so the first-chip ramp
     carries the frame's first source chip.
     """
-    chips = np.asarray(chips, dtype=np.uint8)
+    chips = as_bits(chips, "chips")
     if chips.ndim != 1 or chips.size == 0:
         raise ValueError("need a one-dimensional, non-empty chip vector")
-    if chips.max() > 1:
-        raise ValueError("chips must be 0/1 valued")
     if sps < 2 or sps % 2:
         raise ValueError("sps must be an even integer >= 2")
 

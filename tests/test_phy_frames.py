@@ -77,6 +77,19 @@ def test_bits_to_symbols_rejects_bad_input():
         pf.symbols_to_bits([16])
 
 
+def test_non_binary_payloads_are_rejected_not_truncated():
+    # A cast to uint8 would encode 0.7 as an all-zero payload.
+    with pytest.raises(ValueError, match="0/1"):
+        pf.build_frame(np.full(200, 0.7))
+    for bits in ([0.5, 0, 0, 0], [0, 0, -1, 0], [np.nan, 0, 0, 0], [0, 0, 0, 257]):
+        with pytest.raises(ValueError, match="0/1"):
+            pf.bits_to_symbols(bits)
+    payload = np.random.default_rng(4).integers(0, 2, 40).astype(np.uint8)
+    want = pf.build_frame(payload)
+    assert np.array_equal(pf.build_frame(payload.astype(np.float64)), want)
+    assert np.array_equal(pf.build_frame(payload.astype(bool)), want)
+
+
 # ---------------------------------------------------------------------------
 # Spreading / despreading
 # ---------------------------------------------------------------------------
@@ -127,6 +140,29 @@ def test_despread_stream_matches_per_symbol_calls():
     for i in range(20):
         s, d = pf.despread_chips(noisy[32 * i : 32 * (i + 1)])
         assert got_syms[i] == s and got_dist[i] == d
+
+
+def _despread_stream_reference(chips):
+    """Broadcast-XOR form of despread_stream: 32 chip comparisons per row."""
+    blocks = np.asarray(chips, dtype=np.uint8).reshape(-1, 32)
+    distances = (blocks[:, None, :] ^ pf.CHIP_TABLE[None, :, :]).sum(axis=2)
+    symbols = distances.argmin(axis=1)
+    return symbols, distances[np.arange(blocks.shape[0]), symbols]
+
+
+@pytest.mark.parametrize("n_blocks", [0, 1, 50, 257])
+def test_despread_stream_matches_broadcast_xor_reference(n_blocks):
+    rng = np.random.default_rng(n_blocks)
+    chips = pf.spread_symbols(rng.integers(0, 16, n_blocks))
+    for flips in (0, 3, 9, 16):
+        noisy = chips.copy()
+        for i in range(n_blocks):
+            noisy[32 * i + rng.choice(32, flips, replace=False)] ^= 1
+        for stream in (noisy, rng.integers(0, 2, 32 * n_blocks).astype(np.uint8)):
+            got = pf.despread_stream(stream)
+            want = _despread_stream_reference(stream)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_despread_rejects_wrong_sizes():

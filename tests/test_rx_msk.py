@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from dualmodem import phy_frames as pf
-from dualmodem._rxtypes import RxConfig
+from dualmodem._rxtypes import SYNC_THRESHOLD, RxConfig, comb_correlate, earliest_peak
 from dualmodem.channel_model import ChannelParams, apply
 from dualmodem.complexity_meter import RuntimeCounters
 from dualmodem.rx_msk import (
+    PREAMBLE_BLOCK,
     TIMING_WINDOW_SYMBOLS,
     demodulate,
     detect_chips,
@@ -228,6 +229,36 @@ def test_frame_sync_msk_prefers_earliest_near_tie():
     source = pf.frame_source_chips(np.zeros(40, dtype=np.uint8))
     found, start = frame_sync_msk(source)
     assert found and start == 0
+
+
+def _frame_sync_msk_reference(chips):
+    """frame_sync_msk with the full 256-chip np.correlate."""
+    x = 2.0 * np.asarray(chips, dtype=np.uint8) - 1.0
+    r = 2.0 * pf.PREAMBLE_CHIPS - 1.0
+    corr = np.correlate(x, r, mode="valid") / r.size
+    peak, lag = earliest_peak(corr)
+    return bool(peak >= SYNC_THRESHOLD), lag, corr
+
+
+def test_frame_sync_msk_comb_is_bit_exact():
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        n = int(rng.integers(256, 2400))
+        chips = rng.integers(0, 2, n).astype(np.uint8)
+        if trial % 2:
+            # A frame whose payload opens with zero symbols: full-strength
+            # peaks 32 chips apart, the SYNC_PEAK_MARGIN earliest-tie case,
+            # with random chip errors.
+            payload = np.zeros(200, dtype=np.uint8)
+            payload[int(rng.integers(0, 200)) :] = rng.integers(0, 2, 1)[0]
+            source = pf.frame_source_chips(payload)
+            start = int(rng.integers(0, max(1, n - source.size)))
+            chips[start : start + source.size] = source[: n - start]
+            chips[rng.choice(n, int(rng.integers(0, 40)), replace=False)] ^= 1
+        found, lag, corr = _frame_sync_msk_reference(chips)
+        comb = comb_correlate(2.0 * chips - 1.0, PREAMBLE_BLOCK) / 256
+        assert comb.tobytes() == corr.tobytes()
+        assert frame_sync_msk(chips) == (found, lag)
 
 
 # ---------------------------------------------------------------------------

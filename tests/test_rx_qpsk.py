@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 
 from dualmodem import phy_frames as pf
-from dualmodem._rxtypes import SYNC_THRESHOLD, CarrierEstimate, RxConfig
+from dualmodem import rx_qpsk
+from dualmodem._rxtypes import (
+    SYNC_THRESHOLD,
+    CarrierEstimate,
+    RxConfig,
+    comb_correlate,
+    earliest_peak,
+    preamble_block,
+)
 from dualmodem.channel_model import ChannelParams, apply
 from dualmodem.complexity_meter import RuntimeCounters
 from dualmodem.rx_qpsk import (
+    PREAMBLE_BLOCK,
     PREAMBLE_REFERENCE,
     RB_CONFIDENCE_MIN,
+    _median,
     _preamble_peak,
     compensate,
     demodulate,
@@ -297,9 +307,109 @@ def test_preamble_reference_is_shared_read_only():
         PREAMBLE_REFERENCE[0] = 0.0
 
 
+def test_preamble_block_requires_eight_repeats():
+    assert np.array_equal(np.tile(PREAMBLE_BLOCK, 8), PREAMBLE_REFERENCE)
+    assert PREAMBLE_BLOCK.size == 16 and not PREAMBLE_BLOCK.flags.writeable
+    bad = PREAMBLE_REFERENCE.copy()
+    bad[-1] = -bad[-1]
+    for preamble in (bad, PREAMBLE_REFERENCE[:-1], PREAMBLE_REFERENCE[:120]):
+        with pytest.raises(ValueError, match="repeats"):
+            preamble_block(preamble)
+
+
+def _preamble_peak_reference(symbols):
+    """_preamble_peak with the full 128-symbol np.correlate."""
+    u = np.asarray(symbols, dtype=np.complex128)
+    ref = PREAMBLE_REFERENCE
+    if u.size < ref.size:
+        return 0.0, 0, 0.0
+    corr = np.correlate(u, ref, mode="valid")
+    energy = np.concatenate(([0.0], np.cumsum(np.abs(u) ** 2)))
+    win = energy[ref.size :] - energy[: -ref.size]
+    norm = np.abs(corr) / (np.sqrt(win * np.sum(np.abs(ref) ** 2)) + 1e-30)
+    peak, lag = earliest_peak(norm)
+    return peak, lag, float(np.angle(corr[lag]))
+
+
+def test_qpsk_comb_correlation_matches_full_within_rounding():
+    # Set from float64 before measuring: summing n products of magnitude at
+    # most |u[k]| |ref[k]| in any order errs by at most n * eps times their
+    # sum; complex products at most double that.
+    rng = np.random.default_rng(31)
+    n_ref = PREAMBLE_REFERENCE.size
+    tol = 2 * n_ref * np.finfo(np.float64).eps
+    for trial in range(40):
+        u = rng.standard_normal(900) + 1j * rng.standard_normal(900)
+        lag = int(rng.integers(0, 900 - n_ref))
+        u[lag : lag + n_ref] += rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, 7)) * (
+            PREAMBLE_REFERENCE
+        )
+        full = np.correlate(u, PREAMBLE_REFERENCE, mode="valid")
+        comb = comb_correlate(u, PREAMBLE_BLOCK)
+        bound = np.correlate(np.abs(u), np.abs(PREAMBLE_REFERENCE), mode="valid")
+        assert comb.shape == full.shape
+        assert np.all(np.abs(comb - full) <= tol * bound)
+        peak, got_lag, phase = _preamble_peak(u)
+        want_peak, want_lag, want_phase = _preamble_peak_reference(u)
+        assert got_lag == want_lag
+        assert peak == pytest.approx(want_peak, rel=tol, abs=tol)
+        assert phase == pytest.approx(want_phase, abs=1e-9)
+
+
+def _sync_limited_reports():
+    """(found, frame_start, payload) of 48 packets at SNRs around the sync
+    knee, with and without offset, rotation and lead."""
+    rng = np.random.default_rng(32)
+    out = []
+    for i in range(48):
+        payload = rng.integers(0, 2, 200).astype(np.uint8)
+        params = ChannelParams(
+            f_d_hz=float(rng.choice([0.0, 30e3])),
+            theta_rad=float(rng.uniform(-np.pi, np.pi)),
+            tau_samples=float(rng.choice([0, 5, 1600])),
+            snr_db=float(rng.choice([-8.0, -4.0, -2.0, 0.0, 6.0])),
+            seed=i,
+        )
+        report = demodulate(apply(_frame_buf(payload), params))
+        bits = None if report.payload_bits is None else report.payload_bits.tobytes()
+        out.append((report.frame_found, report.frame_start, bits))
+    return out
+
+
+def test_qpsk_comb_sync_picks_the_same_lag_and_parity(monkeypatch):
+    # frame_start encodes the sync lag and chip parity, so equal reports
+    # mean equal picks.
+    comb = _sync_limited_reports()
+    monkeypatch.setattr(
+        rx_qpsk, "_preamble_peak", lambda u, counter=None: _preamble_peak_reference(u)
+    )
+    assert comb == _sync_limited_reports()
+    assert any(found for found, _, _ in comb) and not all(found for found, _, _ in comb)
+
+
+def test_median_by_partition_matches_np_median():
+    rng = np.random.default_rng(33)
+    for n in (2, 64, 2048):
+        for trial in range(50):
+            mag = np.abs(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            if trial % 5 == 0:
+                mag[: n // 2] = mag[0]  # ties across the middle pair
+            if trial % 7 == 0:
+                mag[int(rng.integers(0, n))] = np.nan
+            want = np.median(mag)
+            got = _median(mag)
+            assert (np.isnan(want) and np.isnan(got)) or got == want
+    assert np.isnan(_median(np.full(2048, np.nan)))
+
+
+def test_rb_nan_spectrum_gives_nan_ratio():
+    est = rb_carrier_estimate(np.full(128, np.nan + 0j), T_SYM)
+    assert np.isnan(est.peak_to_median)
+
+
 def frame_sync_qpsk(symbols, counter=None):
     """(found, lag) of the preamble peak at the chain's sync threshold."""
-    peak, lag, _ = _preamble_peak(symbols, PREAMBLE_REFERENCE, counter=counter)
+    peak, lag, _ = _preamble_peak(symbols, counter=counter)
     return peak >= SYNC_THRESHOLD, lag
 
 

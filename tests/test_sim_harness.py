@@ -1,6 +1,7 @@
 """Tests for the batch simulation driver and CLI."""
 
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
@@ -62,6 +63,25 @@ def test_sweep_config_validation():
         SweepConfig(payload_bits=30)
     with pytest.raises(ValueError, match="n_fft"):
         SweepConfig(n_fft=1000)
+    with pytest.raises(ValueError, match="whole number"):
+        SweepConfig(tau_samples=1.5)
+    with pytest.raises(ValueError, match="non-negative"):
+        SweepConfig(tau_samples=-8.0)
+    with pytest.raises(ValueError, match="finite"):
+        SweepConfig(f_d_hz=float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        SweepConfig(theta_rad=float("inf"))
+    with pytest.raises(ValueError, match="half the chip rate"):
+        SweepConfig(f_d_hz=1.5e6)
+    with pytest.raises(ValueError, match="half the chip rate"):
+        SweepConfig(f_d_hz=-1e6)
+    with pytest.raises(ValueError, match="match_threshold"):
+        SweepConfig(match_threshold=300)
+    with pytest.raises(ValueError, match="match_threshold"):
+        SweepConfig(match_threshold=-1)
+    # The edges of each range are accepted.
+    SweepConfig(f_d_hz=-999_999.0, tau_samples=3.0, match_threshold=0)
+    SweepConfig(match_threshold=256)
 
 
 def test_parse_config_and_precedence(tmp_path):
@@ -315,6 +335,14 @@ def test_cli_rejects_zero_settings(tmp_path):
         main(["decode", str(path), "--mode", "msk", "--nfft", "0"])
     with pytest.raises(ValueError, match="n_fft"):
         main(["sweep", "--nfft", "0", "--packets", "1"])
+    # Bad impairments and thresholds fail before any packet runs, in the
+    # caller and not inside a pool worker.
+    with pytest.raises(ValueError, match="whole number"):
+        main(["sweep", "--tau-samples", "2.5", "--workers", "2", "--packets", "1"])
+    with pytest.raises(ValueError, match="half the chip rate"):
+        main(["sweep", "--fd-hz", "1.5e6", "--packets", "1"])
+    with pytest.raises(ValueError, match="match_threshold"):
+        main(["sweep", "--mode", "auto", "--match-threshold", "300", "--packets", "1"])
 
 
 def test_module_selftest_runs_without_warnings():
@@ -333,3 +361,38 @@ def test_module_selftest_runs_without_warnings():
 def test_parser_rejects_unknown_mode():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["sweep", "--mode", "fsk"])
+
+
+_FAULT_PROBE = """
+import resource
+from dualmodem.sim_harness import SweepConfig, ber_sweep
+
+grid = dict(snr_start_db=-10.0, snr_step_db=4.0, mode="qpsk", f_d_hz=50e3, tau_samples=1600.0)
+ber_sweep(SweepConfig(snr_stop_db=-10.0, packets_per_point=8, **grid))
+cfg = SweepConfig(snr_stop_db=10.0, packets_per_point=16, **grid)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+ber_sweep(cfg)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print((after - before) / (cfg.packets_per_point * len(cfg.snr_grid())))
+"""
+
+
+def test_sweep_loop_reuses_freed_pages():
+    # glibc returns freed full-length packet buffers to the kernel unless
+    # ber_sweep first raises its mmap and trim thresholds; every packet then
+    # faults dozens of pages in afresh.  Fresh interpreter, so no earlier
+    # test has already moved the thresholds.
+    pytest.importorskip("resource")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the trim/re-fault cycle is specific to glibc malloc")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    faults_per_packet = float(proc.stdout.split()[-1])
+    assert faults_per_packet < 5, faults_per_packet

@@ -66,6 +66,16 @@ def test_modulate_validation():
         modulate(np.array([0, 1], dtype=np.uint8), sps=5)
 
 
+def test_modulate_rejects_values_other_than_0_and_1():
+    # A cast to uint8 would turn 0.5 and 0.9 into valid chips.
+    for chips in ([0.5, 1, 0.9], [0, -1], [1.0, np.nan], [0, 256]):
+        with pytest.raises(ValueError, match="0/1"):
+            modulate(chips)
+    want = modulate(np.array([1, 0, 0, 1], dtype=np.uint8)).samples
+    for same in ([1.0, 0.0, 0.0, 1.0], [True, False, False, True]):
+        assert np.array_equal(modulate(same).samples, want)
+
+
 def _reference_modulate(chips, sps, head_bit, tail_bit):
     """The modulator as one expression per rail, with complex temporaries,
     for any edge chips; modulate's are both 0."""
