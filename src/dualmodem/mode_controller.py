@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phy_frames import as_bits
+
 DEFAULT_MATCH_THRESHOLD = 240
 K_UP = 3
 K_DOWN = 1
@@ -23,8 +25,8 @@ MODE_MSK = "msk"
 
 def preamble_match_count(received_chips, reference) -> int:
     """Number of agreeing chips between a received and a reference preamble."""
-    received_chips = np.asarray(received_chips, dtype=np.uint8)
-    reference = np.asarray(reference, dtype=np.uint8)
+    received_chips = as_bits(received_chips, "chips")
+    reference = as_bits(reference, "reference chips")
     if received_chips.shape != reference.shape:
         raise ValueError("preamble lengths differ")
     return int(reference.size - np.count_nonzero(received_chips ^ reference))

@@ -82,6 +82,20 @@ def as_bits(values, what: str = "bits") -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
+def _as_symbols(values) -> np.ndarray:
+    """`values` as an int64 array of symbol indices; raises ValueError unless
+    every entry is a whole number in [0, 15], so 3.7 is never cast to 3."""
+    arr = np.asarray(values)
+    if arr.size:
+        if np.issubdtype(arr.dtype, np.integer):
+            ok = arr.min() >= 0 and arr.max() <= 15
+        else:
+            ok = bool(np.isin(arr, np.arange(16)).all())
+        if not ok:
+            raise ValueError("symbol indices must be whole numbers in [0, 15]")
+    return arr.astype(np.int64, copy=False)
+
+
 def bits_to_symbols(bits) -> np.ndarray:
     """Group bits LSB-first into 4-bit symbol indices.
 
@@ -98,21 +112,14 @@ def bits_to_symbols(bits) -> np.ndarray:
 
 def symbols_to_bits(symbols) -> np.ndarray:
     """Inverse of bits_to_symbols: symbol indices back to an LSB-first bit array."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    if symbols.size and (symbols.min() < 0 or symbols.max() > 15):
-        raise ValueError("symbol indices must lie in [0, 15]")
+    symbols = _as_symbols(symbols)
     bits = (symbols[:, None] >> np.arange(BITS_PER_SYMBOL)) & 1
     return bits.reshape(-1).astype(np.uint8)
 
 
 def spread_symbols(symbols) -> np.ndarray:
     """Concatenated chip sequences for a symbol vector."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    if symbols.size == 0:
-        return np.zeros(0, dtype=np.uint8)
-    if symbols.min() < 0 or symbols.max() > 15:
-        raise ValueError("symbol indices must lie in [0, 15]")
-    return CHIP_TABLE[symbols].reshape(-1)
+    return CHIP_TABLE[_as_symbols(symbols)].reshape(-1)
 
 
 def despread_chips(chips, counter=None) -> tuple[int, int]:
@@ -158,14 +165,14 @@ def differential_encode(chips) -> np.ndarray:
 
     out[-1] is the encoder seed, 0.
     """
-    chips = np.asarray(chips, dtype=np.uint8)
+    chips = as_bits(chips, "chips")
     # XOR prefix scan: out[k] = chips[0] ^ ... ^ chips[k]
     return np.bitwise_xor.accumulate(chips)
 
 
 def differential_decode(chips) -> np.ndarray:
     """Inverse of differential_encode: out[k] = chips[k] XOR chips[k-1]."""
-    chips = np.asarray(chips, dtype=np.uint8)
+    chips = as_bits(chips, "chips")
     out = chips.copy()
     out[1:] ^= chips[:-1]
     return out

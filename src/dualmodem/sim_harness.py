@@ -42,6 +42,9 @@ CSV_COLUMNS = (
 
 MODE_AUTO = "auto"
 
+# The receiver chain behind each fixed mode.
+_CHAINS = {MODE_QPSK: rx_qpsk, MODE_MSK: rx_msk}
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -128,6 +131,9 @@ def run_packet(
     A missed frame counts every payload bit as an error; that rule keeps the
     BER curve honest at SNRs where synchronization itself fails.
     """
+    chain = _CHAINS.get(mode)
+    if chain is None:
+        raise ValueError(f"a packet runs in mode 'qpsk' or 'msk', not {mode!r}")
     rng = _packet_rng(cfg.master_seed, snr_index, packet_index)
     payload = rng.integers(0, 2, cfg.payload_bits).astype(np.uint8)
     theta = cfg.theta_rad
@@ -147,10 +153,7 @@ def run_packet(
     rx = channel_apply(buf, params)
 
     rxcfg = RxConfig(payload_bits=cfg.payload_bits, n_fft=cfg.n_fft)
-    if mode == MODE_MSK:
-        report = rx_msk.demodulate(rx, rxcfg)
-    else:
-        report = rx_qpsk.demodulate(rx, rxcfg)
+    report = chain.demodulate(rx, rxcfg)
 
     if report.frame_found and report.payload_bits is not None:
         errors = int(np.count_nonzero(report.payload_bits != payload))
@@ -164,11 +167,6 @@ def run_packet(
         preamble_match=int(report.preamble_match_count),
         n_bits=cfg.payload_bits,
     )
-
-
-def _run_packet_task(args) -> PacketRecord:
-    cfg, snr_db, snr_index, packet_index, mode = args
-    return run_packet(cfg, snr_db, snr_index, packet_index, mode)
 
 
 def _complexity_params(sps: int, payload_bits: int, n_fft: int) -> ComplexityParams:
@@ -188,9 +186,7 @@ def _chain_op_totals(cfg: SweepConfig) -> dict[str, tuple[int, int]]:
     }
 
 
-def _aggregate_point(
-    cfg: SweepConfig, snr_db: float, records: list[PacketRecord], mode_label: str
-) -> SweepPoint:
+def _aggregate_point(cfg: SweepConfig, snr_db: float, records: list[PacketRecord]) -> SweepPoint:
     per_chain = _chain_op_totals(cfg)
     packets = len(records)
     detected = sum(r.frame_found for r in records)
@@ -210,7 +206,7 @@ def _aggregate_point(
     mults = sum(per_chain[r.mode][1] for r in records)
     return SweepPoint(
         snr_db=float(snr_db),
-        mode_label=mode_label,
+        mode_label=cfg.mode,
         packets=packets,
         frames_detected=int(detected),
         bit_errors=int(bit_errors),
@@ -225,17 +221,20 @@ def _aggregate_point(
     )
 
 
-def _sweep_point_auto(cfg: SweepConfig, snr_db: float, snr_index: int) -> SweepPoint:
-    # Mode decisions depend on packet order, so auto mode runs sequentially
-    # and carries controller state across packets within the point.
-    state = ModeState()
+def _sweep_point(cfg: SweepConfig, snr_index: int) -> SweepPoint:
+    """Run one grid point's packets in order.  In auto mode the controller
+    starts the point from a fresh ModeState, so no point depends on another
+    and any process can run it."""
+    snr_db = float(cfg.snr_grid()[snr_index])
+    state = ModeState() if cfg.mode == MODE_AUTO else None
     records = []
     for p in range(cfg.packets_per_point):
-        rec = run_packet(cfg, snr_db, snr_index, p, state.mode)
+        rec = run_packet(cfg, snr_db, snr_index, p, cfg.mode if state is None else state.mode)
         records.append(rec)
-        # A missed frame reports 0 preamble matches.
-        state = step_mode(state, rec.preamble_match >= cfg.match_threshold)
-    return _aggregate_point(cfg, snr_db, records, MODE_AUTO)
+        if state is not None:
+            # A missed frame reports 0 preamble matches.
+            state = step_mode(state, rec.preamble_match >= cfg.match_threshold)
+    return _aggregate_point(cfg, snr_db, records)
 
 
 # One packet allocates under eight full-length complex128 buffers' worth: the
@@ -277,38 +276,22 @@ def _packet_buffer_bytes(cfg: SweepConfig) -> int:
 
 
 def ber_sweep(cfg: SweepConfig, workers: int = 0) -> SweepResult:
-    """Run the whole SNR grid; workers > 1 parallelizes fixed-mode sweeps."""
-    grid = [float(snr_db) for snr_db in cfg.snr_grid()]
+    """Run the whole SNR grid in any mode, auto included; workers > 1 runs
+    the points in that many processes."""
+    if workers < 0:
+        raise ValueError("workers must be non-negative")
     buffer_bytes = _packet_buffer_bytes(cfg)
     _hold_freed_pages(buffer_bytes)
-    if cfg.mode == MODE_AUTO:
-        points = [_sweep_point_auto(cfg, snr, snr_index) for snr_index, snr in enumerate(grid)]
-        return SweepResult(config=cfg, points=tuple(points))
-
-    tasks = (
-        (cfg, snr, snr_index, p, cfg.mode)
-        for snr_index, snr in enumerate(grid)
-        for p in range(cfg.packets_per_point)
-    )
+    indices = range(cfg.snr_grid().size)
     if workers > 1:
-        # One pool for the whole sweep; map keeps task order.
+        # One pool for the whole sweep; map keeps point order.
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_hold_freed_pages, initargs=(buffer_bytes,)
         ) as pool:
-            points = _points_in_order(cfg, grid, pool.map(_run_packet_task, tasks, chunksize=64))
+            points = tuple(pool.map(_sweep_point, itertools.repeat(cfg), indices))
     else:
-        points = _points_in_order(cfg, grid, map(_run_packet_task, tasks))
-    return SweepResult(config=cfg, points=tuple(points))
-
-
-def _points_in_order(cfg: SweepConfig, grid: list[float], records) -> list[SweepPoint]:
-    """Aggregate a grid-ordered record stream one point at a time, so only
-    one point's records are held at once."""
-    records = iter(records)
-    return [
-        _aggregate_point(cfg, snr, list(itertools.islice(records, cfg.packets_per_point)), cfg.mode)
-        for snr in grid
-    ]
+        points = tuple(_sweep_point(cfg, i) for i in indices)
+    return SweepResult(config=cfg, points=points)
 
 
 def _fmt(x) -> str:
@@ -437,7 +420,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
                    dest="exclude_missed")
     p.add_argument("--config", default=None, help="key = value file; flags override it")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.add_argument("--workers", type=int, default=0, help="process count for fixed-mode sweeps")
+    p.add_argument("--workers", type=int, default=0, help="process count; points run in parallel")
 
 
 def _config_from_args(args: argparse.Namespace) -> SweepConfig:
@@ -461,8 +444,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_decode(args) -> int:
     buf = iq_import(args.iq_file)
     rxcfg = RxConfig(payload_bits=args.payload_bits, n_fft=args.nfft)
-    chain = rx_msk if args.mode == MODE_MSK else rx_qpsk
-    report = chain.demodulate(buf, rxcfg)
+    report = _CHAINS[args.mode].demodulate(buf, rxcfg)
     if not report.frame_found:
         print("no frame found")
         return 1
@@ -485,7 +467,7 @@ def _cmd_complexity(args) -> int:
 def _cmd_selftest(args) -> int:
     rng = np.random.default_rng(7)
     ok = True
-    for mode, chain in ((MODE_QPSK, rx_qpsk), (MODE_MSK, rx_msk)):
+    for mode, chain in _CHAINS.items():
         payload = rng.integers(0, 2, 200).astype(np.uint8)
         buf = modulate(phy_frames.build_frame(payload))
         report = chain.demodulate(buf, RxConfig())

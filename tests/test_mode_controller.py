@@ -11,6 +11,7 @@ from dualmodem.mode_controller import (
     preamble_match_count,
     step_mode,
 )
+from dualmodem.phy_frames import PREAMBLE_CHIPS
 
 
 def _run(verdicts):
@@ -29,6 +30,14 @@ def test_preamble_match_count():
     assert preamble_match_count(flipped, ref) == 243
     with pytest.raises(ValueError):
         preamble_match_count(ref[:128], ref)
+
+
+def test_preamble_match_count_rejects_non_binary_chips():
+    # A cast to uint8 would read 0.9 as chip 0 and match half the preamble.
+    with pytest.raises(ValueError, match="0/1"):
+        preamble_match_count(np.full(256, 0.9), PREAMBLE_CHIPS)
+    with pytest.raises(ValueError, match="0/1"):
+        preamble_match_count(PREAMBLE_CHIPS, np.full(256, 2, dtype=np.uint8))
 
 
 def test_verdict_threshold_edge(monkeypatch):

@@ -103,6 +103,15 @@ def test_spread_symbols_concatenates():
     assert pf.spread_symbols([]).size == 0
 
 
+@pytest.mark.parametrize("fn", [pf.spread_symbols, pf.symbols_to_bits])
+def test_symbols_must_be_whole_indices(fn):
+    # A cast to int64 would read 0.5 as symbol 0 and 3.7 as symbol 3.
+    for symbols in ([0.5], [3.7], [np.nan], [-1], [16], [2.0, 16.0]):
+        with pytest.raises(ValueError, match="symbol indices"):
+            fn(symbols)
+    assert np.array_equal(fn([3.0, 12.0]), fn(np.array([3, 12], dtype=np.uint8)))
+
+
 def test_despread_chips_exact_and_noisy():
     rng = np.random.default_rng(1)
     for s in range(16):
@@ -194,6 +203,16 @@ def test_differential_round_trip(chips):
     dec = pf.differential_decode(enc)
     assert dec.dtype == np.uint8
     assert np.array_equal(dec, chips)
+
+
+@pytest.mark.parametrize("fn", [pf.differential_encode, pf.differential_decode])
+def test_differential_coding_rejects_non_binary_chips(fn):
+    # A cast to uint8 would code [0.7, 2, 1] as the non-binary [0, 2, 3].
+    for chips in ([0.7, 2, 1], [0, 2, 1], np.array([0, 2, 1], dtype=np.uint8), [np.nan, 0]):
+        with pytest.raises(ValueError, match="0/1"):
+            fn(chips)
+    chips = np.array([1, 0, 1, 1], dtype=np.uint8)
+    assert np.array_equal(fn(chips.astype(np.float64)), fn(chips))
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,14 @@ def test_run_packet_ideal_channel_both_modes():
         assert rec.mode == mode
 
 
+def test_run_packet_rejects_unknown_mode():
+    # Unchecked, "MSK" would run the coherent chain under that label, and
+    # "auto" would give a record that _aggregate_point cannot count.
+    for mode in ("MSK", "auto", ""):
+        with pytest.raises(ValueError, match="mode"):
+            run_packet(_tiny_cfg(), 6.0, 0, 0, mode)
+
+
 def test_run_packet_is_deterministic():
     cfg = _tiny_cfg()
     a = run_packet(cfg, 4.0, 1, 7, "qpsk")
@@ -343,6 +351,8 @@ def test_cli_rejects_zero_settings(tmp_path):
         main(["sweep", "--fd-hz", "1.5e6", "--packets", "1"])
     with pytest.raises(ValueError, match="match_threshold"):
         main(["sweep", "--mode", "auto", "--match-threshold", "300", "--packets", "1"])
+    with pytest.raises(ValueError, match="workers"):
+        main(["sweep", "--workers", "-2", "--packets", "1"])
 
 
 def test_module_selftest_runs_without_warnings():

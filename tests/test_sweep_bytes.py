@@ -36,8 +36,17 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_sweep_csv_bytes_are_pinned(name):
+# A pooled sweep must give the serial bytes.  The serial cases keep their
+# plain ids.
+@pytest.mark.parametrize(
+    "name, workers",
+    [
+        pytest.param(name, workers, id=name if workers == 0 else f"{name}-workers{workers}")
+        for workers in (0, 2)
+        for name in sorted(PINNED)
+    ],
+)
+def test_sweep_csv_bytes_are_pinned(name, workers):
     overrides, digest = PINNED[name]
-    text = sweep_csv(ber_sweep(SweepConfig(**GRID, **overrides)))
+    text = sweep_csv(ber_sweep(SweepConfig(**GRID, **overrides), workers=workers))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
