@@ -132,8 +132,10 @@ def earliest_peak(metric: np.ndarray) -> tuple[float, int]:
     wins; with no positive lag the maximum wins.  A NaN lag never matches,
     so an all-NaN metric gives (-inf, 0), which no threshold accepts.
     """
-    metric = np.where(np.isnan(metric), -np.inf, metric)
     peak = float(np.max(metric))
+    if np.isnan(peak):
+        metric = np.where(np.isnan(metric), -np.inf, metric)
+        peak = float(np.max(metric))
     if peak > 0.0:
         lag = int(np.argmax(metric >= (1.0 - SYNC_PEAK_MARGIN) * peak))
     else:

@@ -96,6 +96,10 @@ def _as_symbols(values) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+# Weight of each bit within its symbol, LSB first (int64, the symbol dtype).
+_BIT_WEIGHTS = 1 << np.arange(BITS_PER_SYMBOL, dtype=np.int64)
+
+
 def bits_to_symbols(bits) -> np.ndarray:
     """Group bits LSB-first into 4-bit symbol indices.
 
@@ -105,16 +109,17 @@ def bits_to_symbols(bits) -> np.ndarray:
     bits = as_bits(bits)
     if bits.size % BITS_PER_SYMBOL:
         raise ValueError("bit count must be divisible by 4")
-    groups = bits.reshape(-1, BITS_PER_SYMBOL).astype(np.int64)
-    weights = 1 << np.arange(BITS_PER_SYMBOL)
-    return (groups * weights).sum(axis=1)
+    return bits.reshape(-1, BITS_PER_SYMBOL) @ _BIT_WEIGHTS
+
+
+# _SYMBOL_BITS[s] = the 4 bits of symbol s, LSB first.
+_SYMBOL_BITS = ((np.arange(16)[:, None] >> np.arange(BITS_PER_SYMBOL)) & 1).astype(np.uint8)
+_SYMBOL_BITS.flags.writeable = False
 
 
 def symbols_to_bits(symbols) -> np.ndarray:
     """Inverse of bits_to_symbols: symbol indices back to an LSB-first bit array."""
-    symbols = _as_symbols(symbols)
-    bits = (symbols[:, None] >> np.arange(BITS_PER_SYMBOL)) & 1
-    return bits.reshape(-1).astype(np.uint8)
+    return _SYMBOL_BITS[_as_symbols(symbols)].reshape(-1)
 
 
 def spread_symbols(symbols) -> np.ndarray:
@@ -128,7 +133,7 @@ def despread_chips(chips, counter=None) -> tuple[int, int]:
     Returns (symbol, hamming_distance).  Ties break to the lowest symbol
     index.  `counter` is an optional complexity tally (see complexity_meter).
     """
-    chips = np.asarray(chips, dtype=np.uint8)
+    chips = as_bits(chips, "chips")
     if chips.size != CHIPS_PER_SYMBOL:
         raise ValueError("despreading needs exactly 32 chips")
     distances = np.count_nonzero(CHIP_TABLE ^ chips, axis=1)
@@ -140,7 +145,7 @@ def despread_chips(chips, counter=None) -> tuple[int, int]:
 
 def despread_stream(chips, counter=None) -> tuple[np.ndarray, np.ndarray]:
     """Despread a chip stream (length divisible by 32) symbol by symbol."""
-    chips = np.asarray(chips, dtype=np.uint8)
+    chips = as_bits(chips, "chips")
     if chips.size % CHIPS_PER_SYMBOL:
         raise ValueError("chip count must be divisible by 32")
     # One 32-chip block per uint32 word, XORed with every table row.
@@ -193,15 +198,39 @@ def frame_source_chips(payload_bits) -> np.ndarray:
     return np.concatenate([PREAMBLE_CHIPS, spread_symbols(bits_to_symbols(payload_bits))])
 
 
+def encoded_rows(table: np.ndarray) -> np.ndarray:
+    """Each row of a chip table differentially encoded from seed 0, read-only.
+
+    Raises ValueError unless every encoded row ends in 0, i.e. every row
+    holds an even number of 1 chips: only then is the encoder of a whole
+    stream back at state 0 at each row boundary, so that encoding the
+    stream equals concatenating the encoded rows.
+    """
+    encoded = np.bitwise_xor.accumulate(table, axis=1)
+    if encoded[:, -1].any():
+        raise ValueError("a chip-table row holds an odd number of 1 chips")
+    encoded.flags.writeable = False
+    return encoded
+
+
+# ENCODED_TABLE[s] = differential_encode(CHIP_TABLE[s]).
+ENCODED_TABLE = encoded_rows(CHIP_TABLE)
+_PREAMBLE_SYMBOLS = np.zeros(PREAMBLE_CHIPS.size // CHIPS_PER_SYMBOL, dtype=np.int64)
+
+
 def build_frame(payload_bits) -> np.ndarray:
     """Assemble a frame: preamble chips + spread payload, differentially encoded.
 
     The 32-bit all-zero preamble spreads to 256 chips; every 4 payload bits
     spread to 32 chips, so the frame is 256 + 8 * n_payload_bits chips long.
     The whole stream is encoded as one run so the payload decode can key off
-    the last preamble chip.
+    the last preamble chip; since each row leaves the encoder at 0, that run
+    is the encoded rows of its symbols (ENCODED_TABLE) laid end to end.
     """
-    return differential_encode(frame_source_chips(payload_bits))
+    payload_bits = as_bits(payload_bits)
+    FrameLayout(payload_bits=payload_bits.size)  # validates the payload length
+    symbols = np.concatenate((_PREAMBLE_SYMBOLS, bits_to_symbols(payload_bits)))
+    return ENCODED_TABLE.take(symbols, axis=0).reshape(-1)
 
 
 def min_pairwise_distance() -> int:

@@ -29,8 +29,12 @@ from .tx_oqpsk import IqBuffer
 
 DIFF_DETECT_EPS = 1e-12
 
+# Hard chip 0/1 -> antipodal -1/+1, by lookup.
+ANTIPODAL = np.array([-1.0, 1.0])
+ANTIPODAL.flags.writeable = False
+
 # Antipodal preamble block: 32 chips of symbol 0, repeated 8 times.
-PREAMBLE_BLOCK = preamble_block(2.0 * phy_frames.PREAMBLE_CHIPS - 1.0)
+PREAMBLE_BLOCK = preamble_block(ANTIPODAL[phy_frames.PREAMBLE_CHIPS])
 
 # Lag products averaged by msk_timing: the first 64 chips of the buffer.
 TIMING_WINDOW_SYMBOLS = 64
@@ -58,7 +62,8 @@ def diff_detect(buf: IqBuffer, counter=None, tau: int | None = None) -> np.ndarr
         z, lag = z[tau::lag], 1
     y = np.zeros(z.size, dtype=np.float64)
     prod = z[lag:] * np.conj(z[:-lag])
-    norm = np.abs(z[lag:]) * np.abs(z[:-lag]) + DIFF_DETECT_EPS
+    mag = np.abs(z)
+    norm = mag[lag:] * mag[:-lag] + DIFF_DETECT_EPS
     y[lag:] = prod.imag / norm
     if counter is not None:
         counter.tally_diff_detect(z.size - lag)
@@ -81,7 +86,8 @@ def msk_timing(buf: IqBuffer) -> MskTimingStat:
     use = min(TIMING_WINDOW_SYMBOLS, (z.size - sps) // sps)
     n = use * sps
     c = (z[sps : sps + n] * np.conj(z[:n])) ** 2
-    v = c.reshape(use, sps).mean(axis=0)
+    v = np.add.reduce(c.reshape(use, sps), axis=0)
+    v /= use
     tau_hat = int(np.argmax(np.abs(v)))
     return MskTimingStat(v=v, tau_hat=tau_hat)
 
@@ -115,8 +121,8 @@ def frame_sync_msk(chips, counter=None) -> tuple[bool, int]:
     n_ref = phy_frames.PREAMBLE_CHIPS.size
     if chips.size < n_ref:
         return False, 0
-    x = 2.0 * chips - 1.0
-    corr = comb_correlate(x, PREAMBLE_BLOCK) / n_ref
+    corr = comb_correlate(ANTIPODAL[chips], PREAMBLE_BLOCK)
+    corr /= n_ref
     if counter is not None:
         counter.tally_correlation_search(n_ref, corr.size)
     peak, best = earliest_peak(corr)

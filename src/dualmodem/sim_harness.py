@@ -25,7 +25,7 @@ from ._rxtypes import RxConfig
 from .channel_model import ChannelParams, apply as channel_apply, check_offset
 from .complexity_meter import ComplexityParams, msk_op_counts, qpsk_op_counts
 from .mode_controller import DEFAULT_MATCH_THRESHOLD, MODE_MSK, MODE_QPSK, ModeState, step_mode
-from .tx_oqpsk import CHIP_RATE_HZ, IqBuffer, modulate
+from .tx_oqpsk import CHIP_RATE_HZ, IqBuffer, check_sps, modulate
 
 CSV_COLUMNS = (
     "snr_db",
@@ -66,8 +66,13 @@ class SweepConfig:
     exclude_missed: bool = False
 
     def __post_init__(self):
+        if not np.isfinite((self.snr_start_db, self.snr_stop_db, self.snr_step_db)).all():
+            raise ValueError("snr_start_db, snr_stop_db and snr_step_db must be finite")
         if self.snr_step_db <= 0:
             raise ValueError("snr_step_db must be positive")
+        if self.snr_stop_db < self.snr_start_db:
+            raise ValueError("snr_stop_db must not lie below snr_start_db")
+        check_sps(self.sps)
         if self.packets_per_point < 1:
             raise ValueError("packets_per_point must be at least 1")
         if self.mode not in (MODE_QPSK, MODE_MSK, MODE_AUTO):

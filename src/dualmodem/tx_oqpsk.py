@@ -8,10 +8,21 @@ chip, and the ramp direction at chip k equals the pre-encoding chip value, so
 a differential detector recovers the source chips with no differential
 decoder.  A coherent sampler sees the encoded chips instead and decodes them
 downstream.
+
+The burst is built by table lookup.  Chip k's pulse starts at sample k*sps,
+so chip period p holds the first half of chip p's pulse and the second half
+of chip p-1's, and nothing else.  Chip p rides I when p is even and Q when p
+is odd, and chip p-1 the other rail, so a period is one of 8 blocks of sps
+samples: one per parity of p and per sign of the two chips' amplitudes.
+`modulate` computes each period's block index and gathers the blocks.  The
+frame's chips come from a table too: every chip-table row holds an even
+number of 1 chips, so the differential encoder is back at state 0 at every
+symbol boundary, and phy_frames.build_frame gathers pre-encoded rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +39,12 @@ SIGN_PATTERN_PERIOD4 = np.array([1.0, -1.0, -1.0, 1.0])
 SIGN_PATTERN_BITS = np.array([0, 1, 1, 0], dtype=np.uint8)
 
 
+def check_sps(sps: int) -> None:
+    """Raise ValueError unless sps (samples per chip) is an even integer >= 2."""
+    if sps < 2 or sps % 2:
+        raise ValueError("sps must be an even integer >= 2")
+
+
 @dataclass
 class IqBuffer:
     """Complex baseband samples with their timing metadata."""
@@ -40,8 +57,7 @@ class IqBuffer:
         self.samples = np.asarray(self.samples, dtype=np.complex128)
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if self.sps < 2 or self.sps % 2:
-            raise ValueError("sps must be an even integer >= 2")
+        check_sps(self.sps)
 
     @property
     def sample_rate_hz(self) -> float:
@@ -82,6 +98,37 @@ def chip_amplitudes(chips, start_index: int = 0) -> np.ndarray:
     return (2.0 * chips - 1.0) * sign_pattern(chips.size, start_index)
 
 
+# The table row of chip period p is 4*(p odd) + 2*(chip p's amplitude is
+# positive) + (chip p-1's is).  A chip's amplitude is positive when the chip
+# differs from its sign-pattern bit, so the row is (2*chip[p] + chip[p-1])
+# XOR a key of period 4 in p: 4*(p odd) + 2*SIGN_PATTERN_BITS[p % 4] +
+# SIGN_PATTERN_BITS[(p - 1) % 4].  The four keys as one native uint32 word,
+# to XOR four periods' rows at a time.
+_PERIOD_KEYS = np.array([0, 6, 3, 5], dtype=np.uint8).view(np.uint32)
+
+
+@functools.cache
+def period_table(sps: int) -> np.ndarray:
+    """The 8 possible chip periods as an 8 x sps complex array, read-only.
+
+    Row 4*odd + 2*a + b holds the first pulse half, +1 if a else -1, on I
+    (Q when odd) and the second pulse half, +1 if b else -1, on the other
+    rail.  Adding 0.0 turns the -0.0 that a negative amplitude makes of the
+    pulse's zero first tap into +0.0, the value a rail summed into zeros has.
+    """
+    check_sps(sps)
+    pulse = half_sine_taps(2 * sps)
+    rows = np.arange(8)[:, None]
+    first = np.where(rows & 2, 1.0, -1.0) * pulse[:sps] + 0.0
+    second = np.where(rows & 1, 1.0, -1.0) * pulse[sps:] + 0.0
+    odd = rows & 4
+    table = np.empty((8, sps), dtype=np.complex128)
+    table.real = np.where(odd, second, first)
+    table.imag = np.where(odd, first, second)
+    table.flags.writeable = False
+    return table
+
+
 def modulate(chips, sps: int = 8, chip_rate_hz: float = CHIP_RATE_HZ) -> IqBuffer:
     """O-QPSK/half-sine modulate a chip stream.
 
@@ -96,40 +143,20 @@ def modulate(chips, sps: int = 8, chip_rate_hz: float = CHIP_RATE_HZ) -> IqBuffe
     chips = as_bits(chips, "chips")
     if chips.ndim != 1 or chips.size == 0:
         raise ValueError("need a one-dimensional, non-empty chip vector")
-    if sps < 2 or sps % 2:
-        raise ValueError("sps must be an even integer >= 2")
+    table = period_table(sps)  # raises on a bad sps
 
     n_chips = chips.size
-    n_pulse = 2 * sps
-    pulse = half_sine_taps(n_pulse)
-    amps = chip_amplitudes(chips)
-    # Virtual 0 chips at indices -1 and n_chips keep the sign pattern's
-    # index arithmetic.
-    head_amp = -sign_pattern(1, start_index=-1)[0]
-    tail_amp = -sign_pattern(1, start_index=n_chips)[0]
-
-    out = np.zeros((n_chips + 1) * sps, dtype=np.complex128)
-    i_rail, q_rail = out.real, out.imag
-
-    # Rail pulses abut with no overlap (spacing equals the pulse support), so
-    # each rail is a plain concatenation of scaled pulses, written row by row
-    # into the rail's part of the buffer.  A negative amplitude turns the
-    # pulse's zero first tap into -0.0; adding +0.0 keeps every zero +0.0.
-    even = amps[0::2]
-    odd = amps[1::2]
-    i_rows = i_rail[: even.size * n_pulse].reshape(even.size, n_pulse)
-    np.multiply(even[:, None], pulse, out=i_rows)
-    i_rows += 0.0
-    q_rows = q_rail[sps : sps + odd.size * n_pulse].reshape(odd.size, n_pulse)
-    np.multiply(odd[:, None], pulse, out=q_rows)
-    q_rows += 0.0
-
-    # Head: second half of the virtual chip -1 pulse; chip -1 is odd-indexed,
-    # so it belongs on the Q rail.
-    q_rail[:sps] += head_amp * pulse[sps:]
-    # Tail: first half of the virtual chip n_chips pulse on its rail (even
-    # index -> I rail).
-    tail_rail = i_rail if n_chips % 2 == 0 else q_rail
-    tail_rail[n_chips * sps :] += tail_amp * pulse[:sps]
-
-    return IqBuffer(samples=out, sps=sps, chip_rate_hz=chip_rate_hz)
+    # Row of period p (see _PERIOD_KEYS), with the 0 edge chips at indices
+    # -1 and n_chips, in a buffer padded to whole uint32 words.  Doubling
+    # the words doubles each 0/1 byte with no carry.  Only integer loops the
+    # receivers also run are used (uint32 multiply, uint8 or, uint32 xor):
+    # each further numpy loop maps more of numpy's code into the process,
+    # which shows in peak RSS.
+    rows = np.zeros(n_chips // 4 * 4 + 4, dtype=np.uint8)
+    rows[:n_chips] = chips
+    words = rows.view(np.uint32)
+    words *= 2
+    rows[1 : n_chips + 1] |= chips
+    words ^= _PERIOD_KEYS
+    samples = table.take(rows[: n_chips + 1], axis=0).reshape(-1)
+    return IqBuffer(samples=samples, sps=sps, chip_rate_hz=chip_rate_hz)

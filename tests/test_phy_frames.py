@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualmodem import phy_frames as pf
@@ -181,6 +181,16 @@ def test_despread_rejects_wrong_sizes():
         pf.despread_stream(np.zeros(33, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("fn", [pf.despread_chips, pf.despread_stream])
+def test_despread_rejects_values_other_than_0_and_1(fn):
+    # A cast to uint8 would read 0.9 as chip 0 and keep 2 as a third value.
+    for chips in (np.full(32, 0.9), np.full(32, 2), np.full(32, 2, dtype=np.uint8), [np.nan] * 32):
+        with pytest.raises(ValueError, match="0/1"):
+            fn(chips)
+    row = pf.CHIP_TABLE[5]
+    assert np.array_equal(np.ravel(fn(row.astype(np.float64))), np.ravel(fn(row)))
+
+
 # ---------------------------------------------------------------------------
 # Differential coding
 # ---------------------------------------------------------------------------
@@ -242,6 +252,32 @@ def test_preamble_is_eight_repeats_of_row_0():
 def test_preamble_chips_are_read_only():
     with pytest.raises(ValueError):
         pf.PREAMBLE_CHIPS[0] ^= 1
+
+
+@given(st.integers(1, 100).flatmap(lambda n: st.lists(st.integers(0, 1), min_size=4 * n, max_size=4 * n)))
+@example([0] * 4)
+@example([1] * 4)
+@example([0] * 400)
+@example([1] * 400)
+@settings(max_examples=60, deadline=None)
+def test_build_frame_equals_one_encoder_run(bits):
+    # The encoded-row table must give what one differential-encoder run over
+    # the whole source stream gives, payload boundaries included.
+    payload = np.array(bits, dtype=np.uint8)
+    frame = pf.build_frame(payload)
+    assert frame.dtype == np.uint8
+    assert np.array_equal(frame, pf.differential_encode(pf.frame_source_chips(payload)))
+
+
+def test_encoded_table_rows_and_parity_guard():
+    for s in range(16):
+        assert np.array_equal(pf.ENCODED_TABLE[s], pf.differential_encode(pf.CHIP_TABLE[s]))
+    with pytest.raises(ValueError):
+        pf.ENCODED_TABLE[0, 0] ^= 1
+    odd = pf.CHIP_TABLE.copy()
+    odd[3, 0] ^= 1
+    with pytest.raises(ValueError, match="odd number"):
+        pf.encoded_rows(odd)
 
 
 def test_build_frame_is_encoded_source_stream():

@@ -79,7 +79,18 @@ def test_sweep_config_validation():
         SweepConfig(match_threshold=300)
     with pytest.raises(ValueError, match="match_threshold"):
         SweepConfig(match_threshold=-1)
+    # A bad grid or sps fails here, not in snr_grid or at the first packet.
+    for field in ("snr_start_db", "snr_stop_db", "snr_step_db"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SweepConfig(**{field: value})
+    with pytest.raises(ValueError, match="snr_stop_db"):
+        SweepConfig(snr_start_db=4.0, snr_stop_db=2.0)
+    for sps in (0, 1, 3, 7, -2):
+        with pytest.raises(ValueError, match="sps"):
+            SweepConfig(sps=sps)
     # The edges of each range are accepted.
+    SweepConfig(snr_start_db=2.0, snr_stop_db=2.0, sps=2)
     SweepConfig(f_d_hz=-999_999.0, tau_samples=3.0, match_threshold=0)
     SweepConfig(match_threshold=256)
 
@@ -353,6 +364,14 @@ def test_cli_rejects_zero_settings(tmp_path):
         main(["sweep", "--mode", "auto", "--match-threshold", "300", "--packets", "1"])
     with pytest.raises(ValueError, match="workers"):
         main(["sweep", "--workers", "-2", "--packets", "1"])
+    with pytest.raises(ValueError, match="sps"):
+        main(["sweep", "--sps", "3", "--workers", "2", "--packets", "1"])
+    with pytest.raises(ValueError, match="sps"):
+        main(["sweep", "--sps", "0", "--packets", "1"])
+    with pytest.raises(ValueError, match="snr_stop_db"):
+        main(["sweep", "--snr-start", "4", "--snr-stop", "2", "--packets", "1"])
+    with pytest.raises(ValueError, match="finite"):
+        main(["sweep", "--snr-start", "nan", "--packets", "1"])
 
 
 def test_module_selftest_runs_without_warnings():

@@ -11,6 +11,7 @@ from dualmodem.tx_oqpsk import (
     chip_amplitudes,
     half_sine_taps,
     modulate,
+    period_table,
     sign_pattern,
 )
 
@@ -97,13 +98,30 @@ def _reference_modulate(chips, sps, head_bit, tail_bit):
 
 # 1856 chips make a 200-bit frame's 14,856 samples; 2056 chips make 16,456,
 # past the 16,384 samples from which numpy computes into temporaries in place.
-@pytest.mark.parametrize("n_chips", [1856, 2055, 2056])
+# The short counts cover every chip count mod 4 and both edge-chip rails.
+@pytest.mark.parametrize(
+    "n_chips,sps",
+    [
+        pytest.param(n, sps, id=str(n) if sps == 8 else f"{n}-sps{sps}")
+        for sps in (8, 2, 4, 16)
+        for n in (1856, 2055, 2056, 1, 2, 3, 5, 31, 32, 33)
+    ],
+)
 @pytest.mark.parametrize("edge_bits", [(0, 0)])
-def test_modulate_matches_reference_bit_for_bit(n_chips, edge_bits):
+def test_modulate_matches_reference_bit_for_bit(n_chips, sps, edge_bits):
     chips = np.random.default_rng(n_chips).integers(0, 2, n_chips).astype(np.uint8)
-    got = modulate(chips).samples
-    want = _reference_modulate(chips, 8, *edge_bits)
+    got = modulate(chips, sps=sps).samples
+    want = _reference_modulate(chips, sps, *edge_bits)
     assert got.tobytes() == want.tobytes()
+
+
+def test_period_table_is_read_only():
+    table = period_table(8)
+    assert table.shape == (8, 8) and table.dtype == np.complex128
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        period_table(3)
 
 
 def test_constant_envelope():
