@@ -1,5 +1,5 @@
-"""Records, the preamble peak pick and the frame tail shared by the two
-receiver chains."""
+"""Records, the symbol timing stage, the preamble peak pick and the frame
+tail shared by the two receiver chains."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import numpy as np
 
 from . import phy_frames
 from .mode_controller import preamble_match_count
+from .tx_oqpsk import IqBuffer
 
 
 @dataclass
@@ -28,33 +29,37 @@ class RxConfig:
 
 
 @dataclass
-class CarrierEstimate:
-    """Joint frequency/phase estimate from the power-of-four spectrum."""
-
-    f_d_hat_hz: float
-    theta_hat_rad: float
-    n_fft: int
-    peak_magnitude: float
-    # Ratio of the spectral peak to the median bin magnitude.  Near 1 the
-    # spectrum is flat (no tone found); large values mean a credible tone.
-    peak_to_median: float = float("nan")
-
-
-@dataclass
-class TimingEstimate:
-    """Early-late gate output: best sampling phase within one pulse period."""
-
-    sample_phase: int
-    converged: bool
-    iterations_used: int
-
-
-@dataclass
 class MskTimingStat:
     """Squared lag-product timing statistic (one complex value per phase)."""
 
     v: np.ndarray
     tau_hat: int
+
+
+# Lag products averaged by msk_timing: the first 64 chips of the buffer.
+TIMING_WINDOW_SYMBOLS = 64
+
+
+def msk_timing(buf: IqBuffer) -> MskTimingStat:
+    """Estimate the chip-boundary sampling phase from the signal's head.
+
+    Squares the one-chip-lag products and averages them per intra-chip phase
+    over the leading TIMING_WINDOW_SYMBOLS chips; at the true boundary phase
+    every squared product collapses to the same unit phasor, so |v| peaks
+    there regardless of carrier offset or rotation.  Ties break to the
+    smallest phase.  Only the averaged window's lag products are formed.
+    """
+    z = buf.samples
+    sps = buf.sps
+    if z.size < 2 * sps:
+        raise ValueError("buffer too short for timing estimation")
+    use = min(TIMING_WINDOW_SYMBOLS, (z.size - sps) // sps)
+    n = use * sps
+    c = (z[sps : sps + n] * np.conj(z[:n])) ** 2
+    v = np.add.reduce(c.reshape(use, sps), axis=0)
+    v /= use
+    tau_hat = int(np.argmax(np.abs(v)))
+    return MskTimingStat(v=v, tau_hat=tau_hat)
 
 
 @dataclass
@@ -66,8 +71,8 @@ class DemodReport:
     frame_start: int | None = None
     payload_bits: np.ndarray | None = None
     preamble_match_count: int = 0
-    carrier: CarrierEstimate | None = None
-    timing: Any = None
+    carrier: Any = None  # rx_qpsk.CarrierEstimate; qpsk only
+    timing: MskTimingStat | None = None
 
     def __post_init__(self):
         if self.payload_bits is not None and not self.frame_found:

@@ -217,6 +217,20 @@ def qpsk_op_counts(p: ComplexityParams) -> OpCountReport:
     )
 
 
+# The stages of RuntimeCounters.to_report, in report order: (stage name,
+# additions field, multiplications field, ((label, field), ...) other
+# counts), None where the stage books no such count.
+_RUNTIME_STAGES = (
+    (STAGE_MF_STR, "mf_adds", "mf_mults", ()),
+    (STAGE_CARRIER, "fft_adds", "fft_mults", ()),
+    (STAGE_DIFF_DETECT, "diff_adds", "diff_mults", ()),
+    (STAGE_FRAME_SYNC, "frame_sync_adds", "frame_sync_mults", (("lags", "lags_searched"),)),
+    (STAGE_CHIP_TO_SYMBOL, "despread_adds", None,
+     (("XOR", "despread_xors"), ("comparisons", "despread_comparisons"))),
+    (STAGE_BIT_DETECT, None, None, (("comparisons", "bit_comparisons"),)),
+)
+
+
 @dataclass
 class RuntimeCounters:
     """Arithmetic tallies accumulated by an instrumented receiver run.
@@ -273,45 +287,15 @@ class RuntimeCounters:
         self.diff_adds += 3 * n_samples
 
     def to_report(self, chain: str = "runtime") -> OpCountReport:
+        """The stages of _RUNTIME_STAGES with a nonzero count, in its order."""
         stages = []
-        if self.mf_adds or self.mf_mults:
-            stages.append(
-                StageOps(STAGE_MF_STR, additions=self.mf_adds, multiplications=self.mf_mults)
+        for name, adds, mults, other in _RUNTIME_STAGES:
+            stage = StageOps(
+                name,
+                additions=getattr(self, adds) if adds else 0,
+                multiplications=getattr(self, mults) if mults else 0,
+                other=tuple((label, getattr(self, field)) for label, field in other),
             )
-        if self.fft_adds or self.fft_mults:
-            stages.append(
-                StageOps(
-                    STAGE_CARRIER, additions=self.fft_adds, multiplications=self.fft_mults
-                )
-            )
-        if self.diff_adds or self.diff_mults:
-            stages.append(
-                StageOps(
-                    STAGE_DIFF_DETECT, additions=self.diff_adds, multiplications=self.diff_mults
-                )
-            )
-        if self.frame_sync_adds or self.frame_sync_mults:
-            stages.append(
-                StageOps(
-                    STAGE_FRAME_SYNC,
-                    additions=self.frame_sync_adds,
-                    multiplications=self.frame_sync_mults,
-                    other=(("lags", self.lags_searched),),
-                )
-            )
-        if self.despread_adds or self.despread_xors:
-            stages.append(
-                StageOps(
-                    STAGE_CHIP_TO_SYMBOL,
-                    additions=self.despread_adds,
-                    other=(
-                        ("XOR", self.despread_xors),
-                        ("comparisons", self.despread_comparisons),
-                    ),
-                )
-            )
-        if self.bit_comparisons:
-            stages.append(
-                StageOps(STAGE_BIT_DETECT, other=(("comparisons", self.bit_comparisons),))
-            )
+            if stage.additions or stage.multiplications or any(c for _, c in stage.other):
+                stages.append(stage)
         return OpCountReport(chain=chain, stages=tuple(stages))

@@ -4,8 +4,9 @@ Treats the half-sine O-QPSK burst as MSK: a one-chip-lag phase-difference
 detector turns each +-pi/2 phase ramp into a sign, which directly yields the
 pre-encoding chip stream (the modulator's sign convention absorbs the
 differential encoding, so this chain has no differential decoder).  Symbol
-timing comes from the squared lag-product statistic, which is immune to
-carrier frequency and phase offsets; frame alignment from a 256-chip
+timing comes from the squared lag-product statistic the coherent chain
+shares (_rxtypes.msk_timing), which is immune to carrier frequency and
+phase offsets; frame alignment from a 256-chip
 correlation against the known preamble.  The chain only reads the detector
 at the chip instants, so it forms the lag products there and nowhere else.
 """
@@ -23,6 +24,7 @@ from ._rxtypes import (
     comb_correlate,
     earliest_peak,
     finish_frame,
+    msk_timing,
     preamble_block,
 )
 from .tx_oqpsk import IqBuffer
@@ -35,9 +37,6 @@ ANTIPODAL.flags.writeable = False
 
 # Antipodal preamble block: 32 chips of symbol 0, repeated 8 times.
 PREAMBLE_BLOCK = preamble_block(ANTIPODAL[phy_frames.PREAMBLE_CHIPS])
-
-# Lag products averaged by msk_timing: the first 64 chips of the buffer.
-TIMING_WINDOW_SYMBOLS = 64
 
 
 def diff_detect(buf: IqBuffer, counter=None, tau: int | None = None) -> np.ndarray:
@@ -68,28 +67,6 @@ def diff_detect(buf: IqBuffer, counter=None, tau: int | None = None) -> np.ndarr
     if counter is not None:
         counter.tally_diff_detect(z.size - lag)
     return y
-
-
-def msk_timing(buf: IqBuffer) -> MskTimingStat:
-    """Estimate the chip-boundary sampling phase from the signal's head.
-
-    Squares the one-chip-lag products and averages them per intra-chip phase
-    over the leading TIMING_WINDOW_SYMBOLS chips; at the true boundary phase
-    every squared product collapses to the same unit phasor, so |v| peaks
-    there regardless of carrier offset or rotation.  Ties break to the smallest phase.  Only the
-    averaged window's lag products are formed.
-    """
-    z = buf.samples
-    sps = buf.sps
-    if z.size < 2 * sps:
-        raise ValueError("buffer too short for timing estimation")
-    use = min(TIMING_WINDOW_SYMBOLS, (z.size - sps) // sps)
-    n = use * sps
-    c = (z[sps : sps + n] * np.conj(z[:n])) ** 2
-    v = np.add.reduce(c.reshape(use, sps), axis=0)
-    v /= use
-    tau_hat = int(np.argmax(np.abs(v)))
-    return MskTimingStat(v=v, tau_hat=tau_hat)
 
 
 def detect_chips(

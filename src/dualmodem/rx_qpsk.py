@@ -12,29 +12,29 @@ synchronizer.  The full chain, however, must acquire timing before the
 carrier phase is known, and for a constant-envelope MSK-shaped signal the
 filtered magnitude carries almost no rotation-invariant timing information
 (the mean envelope ripple is below 5%).  demodulate therefore derives its
-sampling phase from the squared lag-product statistic (rx_msk.msk_timing),
+sampling phase from the squared lag-product statistic (_rxtypes.msk_timing),
 which is invariant to carrier offsets, and keeps the early-late gate for
 rotation-free use.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import phy_frames
 from ._rxtypes import (
     SYNC_THRESHOLD,
-    CarrierEstimate,
     DemodReport,
     RxConfig,
-    TimingEstimate,
     comb_correlate,
     earliest_peak,
     finish_frame,
+    msk_timing,
     preamble_block,
 )
 from .channel_model import phasor_ramp
-from .rx_msk import msk_timing
 from .tx_oqpsk import (
     SIGN_PATTERN_BITS,
     IqBuffer,
@@ -52,6 +52,28 @@ RB_CONFIDENCE_MIN = 5.5
 
 # Fewest symbol-spaced samples the carrier estimator accepts.
 MIN_CARRIER_SAMPLES = 64
+
+
+@dataclass
+class CarrierEstimate:
+    """Joint frequency/phase estimate from the power-of-four spectrum."""
+
+    f_d_hat_hz: float
+    theta_hat_rad: float
+    n_fft: int
+    peak_magnitude: float
+    # Ratio of the spectral peak to the median bin magnitude.  Near 1 the
+    # spectrum is flat (no tone found); large values mean a credible tone.
+    peak_to_median: float = float("nan")
+
+
+@dataclass
+class TimingEstimate:
+    """Early-late gate output: best sampling phase within one pulse period."""
+
+    sample_phase: int
+    converged: bool
+    iterations_used: int
 
 
 def matched_filter(buf: IqBuffer, counter=None, phase: int | None = None):
@@ -101,7 +123,6 @@ def elg_timing(
     buf: IqBuffer,
     l_pulses: int = 32,
     delta: int = 2,
-    step: int = 1,
     initial_phase: int | None = None,
 ) -> TimingEstimate:
     """Early-late gate on the filtered magnitude.
@@ -136,11 +157,11 @@ def elg_timing(
         acc_m += mag[center]
         acc_l += mag[center + delta]
         if acc_l > acc_m:
-            phase += step
+            phase += 1
             acc_e = acc_m = acc_l = 0.0
             quiet = 0
         elif acc_e > acc_m:
-            phase -= step
+            phase -= 1
             acc_e = acc_m = acc_l = 0.0
             quiet = 0
         else:

@@ -44,6 +44,7 @@ MODE_AUTO = "auto"
 
 # The receiver chain behind each fixed mode.
 _CHAINS = {MODE_QPSK: rx_qpsk, MODE_MSK: rx_msk}
+_MODES = (*_CHAINS, MODE_AUTO)
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,10 @@ class SweepConfig:
         check_sps(self.sps)
         if self.packets_per_point < 1:
             raise ValueError("packets_per_point must be at least 1")
-        if self.mode not in (MODE_QPSK, MODE_MSK, MODE_AUTO):
+        if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
         RxConfig(self.payload_bits, self.n_fft)  # validates the receiver settings
         theta = 0.0 if self.theta_rad is None else self.theta_rad
         ChannelParams(self.f_d_hz, theta, self.tau_samples)  # validates the impairments
@@ -104,7 +107,7 @@ class PacketRecord:
 @dataclass(frozen=True)
 class SweepPoint:
     snr_db: float
-    mode_label: str
+    mode: str
     packets: int
     frames_detected: int
     bit_errors: int
@@ -176,23 +179,12 @@ def run_packet(
 
 def _complexity_params(sps: int, payload_bits: int, n_fft: int) -> ComplexityParams:
     """The operation-count model of a chain run at these settings."""
-    return ComplexityParams(
-        l_pulses=32, n_sample=2 * sps, n_preamble=64, n_bits=payload_bits, n_fft=n_fft
-    )
-
-
-def _chain_op_totals(cfg: SweepConfig) -> dict[str, tuple[int, int]]:
-    params = _complexity_params(cfg.sps, cfg.payload_bits, cfg.n_fft)
-    msk = msk_op_counts(params)
-    qpsk = qpsk_op_counts(params)
-    return {
-        MODE_MSK: (msk.additions_total, msk.multiplications_total),
-        MODE_QPSK: (qpsk.additions_total, qpsk.multiplications_total),
-    }
+    return ComplexityParams(n_sample=2 * sps, n_bits=payload_bits, n_fft=n_fft)
 
 
 def _aggregate_point(cfg: SweepConfig, snr_db: float, records: list[PacketRecord]) -> SweepPoint:
-    per_chain = _chain_op_totals(cfg)
+    params = _complexity_params(cfg.sps, cfg.payload_bits, cfg.n_fft)
+    per_chain = {MODE_MSK: msk_op_counts(params), MODE_QPSK: qpsk_op_counts(params)}
     packets = len(records)
     detected = sum(r.frame_found for r in records)
     missed = packets - detected
@@ -207,11 +199,11 @@ def _aggregate_point(cfg: SweepConfig, snr_db: float, records: list[PacketRecord
         denom = packets * cfg.payload_bits
     ber = bit_errors / denom if denom else 0.0
     packet_errors = sum(1 for r in records if r.bit_errors > 0 or not r.frame_found)
-    adds = sum(per_chain[r.mode][0] for r in records)
-    mults = sum(per_chain[r.mode][1] for r in records)
+    adds = sum(per_chain[r.mode].additions_total for r in records)
+    mults = sum(per_chain[r.mode].multiplications_total for r in records)
     return SweepPoint(
         snr_db=float(snr_db),
-        mode_label=cfg.mode,
+        mode=cfg.mode,
         packets=packets,
         frames_detected=int(detected),
         bit_errors=int(bit_errors),
@@ -309,19 +301,7 @@ def sweep_csv(result: SweepResult) -> str:
     """Fixed-column CSV, one row per SNR point."""
     lines = [",".join(CSV_COLUMNS)]
     for pt in result.points:
-        row = (
-            pt.snr_db,
-            pt.mode_label,
-            pt.packets,
-            pt.frames_detected,
-            pt.bit_errors,
-            pt.ber,
-            pt.per,
-            pt.mean_preamble_match,
-            pt.adds_total,
-            pt.mults_total,
-        )
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(_fmt(getattr(pt, column)) for column in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -373,13 +353,26 @@ def parse_config(path) -> dict[str, str]:
     return out
 
 
+def _parse_bool(text: str) -> bool:
+    """1/0, true/false or yes/no, in any case."""
+    lower = text.lower()
+    if lower in ("1", "true", "yes"):
+        return True
+    if lower in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/0, true/false or yes/no, not {text!r}")
+
+
+# Every sweep setting: config-file key -> (SweepConfig field, converter of
+# its text).  The key is also the CLI flag's dest, and the flag is `--` plus
+# the key with '-' for '_' (see _add_config_flags).
 _CONFIG_FIELDS = {
+    "mode": ("mode", str),
     "snr_start": ("snr_start_db", float),
     "snr_stop": ("snr_stop_db", float),
     "snr_step": ("snr_step_db", float),
     "packets": ("packets_per_point", int),
     "payload_bits": ("payload_bits", int),
-    "mode": ("mode", str),
     "sps": ("sps", int),
     "nfft": ("n_fft", int),
     "seed": ("master_seed", int),
@@ -387,7 +380,7 @@ _CONFIG_FIELDS = {
     "theta_rad": ("theta_rad", float),
     "tau_samples": ("tau_samples", float),
     "match_threshold": ("match_threshold", int),
-    "exclude_missed": ("exclude_missed", lambda s: s.lower() in ("1", "true", "yes")),
+    "exclude_missed": ("exclude_missed", _parse_bool),
 }
 
 
@@ -398,7 +391,10 @@ def config_from_sources(file_values: dict[str, str], cli_values: dict) -> SweepC
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"unknown config key {key!r}")
         field, conv = _CONFIG_FIELDS[key]
-        kwargs[field] = conv(raw)
+        try:
+            kwargs[field] = conv(raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from exc
     for key, value in cli_values.items():
         if value is None:
             continue
@@ -407,25 +403,19 @@ def config_from_sources(file_values: dict[str, str], cli_values: dict) -> SweepC
     return SweepConfig(**kwargs)
 
 
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=[MODE_QPSK, MODE_MSK, MODE_AUTO], default=None)
-    p.add_argument("--snr-start", type=float, default=None, dest="snr_start")
-    p.add_argument("--snr-stop", type=float, default=None, dest="snr_stop")
-    p.add_argument("--snr-step", type=float, default=None, dest="snr_step")
-    p.add_argument("--packets", type=int, default=None)
-    p.add_argument("--payload-bits", type=int, default=None, dest="payload_bits")
-    p.add_argument("--sps", type=int, default=None)
-    p.add_argument("--nfft", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--fd-hz", type=float, default=None, dest="fd_hz")
-    p.add_argument("--theta-rad", type=float, default=None, dest="theta_rad")
-    p.add_argument("--tau-samples", type=float, default=None, dest="tau_samples")
-    p.add_argument("--match-threshold", type=int, default=None, dest="match_threshold")
-    p.add_argument("--exclude-missed", action="store_const", const=True, default=None,
-                   dest="exclude_missed")
-    p.add_argument("--config", default=None, help="key = value file; flags override it")
-    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.add_argument("--workers", type=int, default=0, help="process count; points run in parallel")
+def _add_config_flags(p: argparse.ArgumentParser, keys, defaults: SweepConfig | None) -> None:
+    """One flag per _CONFIG_FIELDS key.  An absent flag reads its field of
+    `defaults`, or None without them, so that it overrides no config-file
+    value; a boolean is a switch that can only turn its setting on."""
+    for key in keys:
+        field, conv = _CONFIG_FIELDS[key]
+        flag = "--" + key.replace("_", "-")
+        if conv is _parse_bool:
+            p.add_argument(flag, action="store_const", const=True, default=None, dest=key)
+        else:
+            default = None if defaults is None else getattr(defaults, field)
+            choices = _MODES if key == "mode" else None
+            p.add_argument(flag, type=conv, default=default, dest=key, choices=choices)
 
 
 def _config_from_args(args: argparse.Namespace) -> SweepConfig:
@@ -496,20 +486,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo BER/PER sweep over SNR")
-    _add_sweep_flags(p_sweep)
+    _add_config_flags(p_sweep, _CONFIG_FIELDS, None)
+    p_sweep.add_argument("--config", default=None, help="key = value file; flags override it")
+    p_sweep.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    p_sweep.add_argument("--workers", type=int, default=0,
+                         help="process count; points run in parallel")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_dec = sub.add_parser("decode", help="decode frames from a raw IQ capture")
     p_dec.add_argument("iq_file")
     p_dec.add_argument("--mode", choices=[MODE_QPSK, MODE_MSK], default=MODE_QPSK)
-    p_dec.add_argument("--payload-bits", type=int, default=200, dest="payload_bits")
-    p_dec.add_argument("--nfft", type=int, default=2048)
+    _add_config_flags(p_dec, ("payload_bits", "nfft"), SweepConfig())
     p_dec.set_defaults(func=_cmd_decode)
 
     p_cx = sub.add_parser("complexity", help="print per-stage operation counts")
-    p_cx.add_argument("--sps", type=int, default=8)
-    p_cx.add_argument("--payload-bits", type=int, default=200, dest="payload_bits")
-    p_cx.add_argument("--nfft", type=int, default=2048)
+    _add_config_flags(p_cx, ("sps", "payload_bits", "nfft"), SweepConfig())
     p_cx.set_defaults(func=_cmd_complexity)
 
     p_st = sub.add_parser("selftest", help="quick loopback and arithmetic checks")

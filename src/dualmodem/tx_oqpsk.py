@@ -82,20 +82,19 @@ def half_sine_taps(n_samples: int) -> np.ndarray:
     return np.sin(np.pi * n / n_samples)
 
 
-def sign_pattern(n_chips: int, start_index: int = 0) -> np.ndarray:
-    """The +-1 sign factors for chip indices start_index..start_index+n-1."""
-    idx = (np.arange(start_index, start_index + n_chips)) % 4
-    return SIGN_PATTERN_PERIOD4[idx]
+def sign_pattern(n_chips: int) -> np.ndarray:
+    """The +-1 sign factors for chip indices 0..n_chips-1."""
+    return SIGN_PATTERN_PERIOD4[np.arange(n_chips) % 4]
 
 
-def chip_amplitudes(chips, start_index: int = 0) -> np.ndarray:
+def chip_amplitudes(chips) -> np.ndarray:
     """Antipodal, sign-adjusted rail amplitudes for a chip vector.
 
-    chips are 0/1; the result is (2*chip - 1) times the index-locked sign
-    pattern.  start_index gives the absolute chip index of chips[0].
+    chips are 0/1, chips[0] being chip index 0; the result is
+    (2*chip - 1) times the index-locked sign pattern.
     """
     chips = np.asarray(chips, dtype=np.float64)
-    return (2.0 * chips - 1.0) * sign_pattern(chips.size, start_index)
+    return (2.0 * chips - 1.0) * sign_pattern(chips.size)
 
 
 # The table row of chip period p is 4*(p odd) + 2*(chip p's amplitude is
@@ -129,7 +128,7 @@ def period_table(sps: int) -> np.ndarray:
     return table
 
 
-def modulate(chips, sps: int = 8, chip_rate_hz: float = CHIP_RATE_HZ) -> IqBuffer:
+def modulate(chips, sps: int = 8) -> IqBuffer:
     """O-QPSK/half-sine modulate a chip stream.
 
     Returns (n_chips + 1) * sps complex samples: the Q rail trails the I rail
@@ -159,4 +158,4 @@ def modulate(chips, sps: int = 8, chip_rate_hz: float = CHIP_RATE_HZ) -> IqBuffe
     rows[1 : n_chips + 1] |= chips
     words ^= _PERIOD_KEYS
     samples = table.take(rows[: n_chips + 1], axis=0).reshape(-1)
-    return IqBuffer(samples=samples, sps=sps, chip_rate_hz=chip_rate_hz)
+    return IqBuffer(samples=samples, sps=sps)

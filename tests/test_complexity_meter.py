@@ -1,5 +1,7 @@
 """Tests for the operation-count models and runtime tallies."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from dualmodem.complexity_meter import (
     OpCountReport,
     RuntimeCounters,
     StageOps,
+    _RUNTIME_STAGES,
     fft_op_counts,
     msk_op_counts,
     qpsk_op_counts,
@@ -162,6 +165,14 @@ def test_to_report_skips_empty_stages():
     report = c.to_report()
     assert isinstance(report, OpCountReport)
     assert [s.name for s in report.stages] == [STAGE_CHIP_TO_SYMBOL]
+
+
+def test_runtime_stage_table_books_every_counter_once():
+    booked = []
+    for _name, adds, mults, other in _RUNTIME_STAGES:
+        booked += [field for field in (adds, mults) if field]
+        booked += [field for _label, field in other]
+    assert sorted(booked) == sorted(f.name for f in fields(RuntimeCounters))
 
 
 def test_instrumented_run_crosschecks_closed_forms():

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from dualmodem import phy_frames as pf
-from dualmodem._rxtypes import SYNC_THRESHOLD, RxConfig, comb_correlate, earliest_peak
+from dualmodem._rxtypes import (
+    SYNC_THRESHOLD,
+    TIMING_WINDOW_SYMBOLS,
+    RxConfig,
+    comb_correlate,
+    earliest_peak,
+)
 from dualmodem.channel_model import ChannelParams, apply
 from dualmodem.complexity_meter import RuntimeCounters
 from dualmodem.rx_msk import (
     PREAMBLE_BLOCK,
-    TIMING_WINDOW_SYMBOLS,
     demodulate,
     detect_chips,
     diff_detect,

@@ -1,5 +1,8 @@
 """Tests for the coherent O-QPSK receiver chain."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,6 @@ from dualmodem import phy_frames as pf
 from dualmodem import rx_qpsk
 from dualmodem._rxtypes import (
     SYNC_THRESHOLD,
-    CarrierEstimate,
     RxConfig,
     comb_correlate,
     earliest_peak,
@@ -19,6 +21,7 @@ from dualmodem.rx_qpsk import (
     PREAMBLE_BLOCK,
     PREAMBLE_REFERENCE,
     RB_CONFIDENCE_MIN,
+    CarrierEstimate,
     _median,
     _preamble_peak,
     compensate,
@@ -544,3 +547,35 @@ def test_demodulate_counter_plumbing():
     assert counter.mf_mults == 2 * N_PULSE * n_decisions
     assert counter.despread_xors == 50 * 512
     assert counter.despread_comparisons == 50 * 15
+
+
+# ---------------------------------------------------------------------------
+# Module structure
+# ---------------------------------------------------------------------------
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The dualmodem modules a source file imports, relatively or not."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = "dualmodem" + (f".{node.module}" if node.module else "")
+            dotted = [base] if base != "dualmodem" else [f"dualmodem.{a.name}" for a in node.names]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in dotted if name.startswith("dualmodem.")}
+    return found
+
+
+def test_receiver_chains_share_only_the_core():
+    # Neither chain reaches into the other; both build on _rxtypes, which
+    # knows neither chain.
+    imports = {p.stem: _package_imports(p) for p in Path(rx_qpsk.__file__).parent.glob("*.py")}
+    assert "_rxtypes" in imports["rx_qpsk"] and "_rxtypes" in imports["rx_msk"]
+    assert "rx_msk" not in imports["rx_qpsk"]
+    assert "rx_qpsk" not in imports["rx_msk"]
+    assert not {"rx_qpsk", "rx_msk"} & imports["_rxtypes"]

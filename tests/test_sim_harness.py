@@ -14,6 +14,7 @@ from dualmodem import phy_frames as pf
 from dualmodem import rx_msk, rx_qpsk, sim_harness
 from dualmodem.sim_harness import (
     CSV_COLUMNS,
+    _CONFIG_FIELDS,
     SweepConfig,
     ber_sweep,
     build_parser,
@@ -79,6 +80,8 @@ def test_sweep_config_validation():
         SweepConfig(match_threshold=300)
     with pytest.raises(ValueError, match="match_threshold"):
         SweepConfig(match_threshold=-1)
+    with pytest.raises(ValueError, match="master_seed"):
+        SweepConfig(master_seed=-1)
     # A bad grid or sps fails here, not in snr_grid or at the first packet.
     for field in ("snr_start_db", "snr_stop_db", "snr_step_db"):
         for value in (float("nan"), float("inf"), -float("inf")):
@@ -92,7 +95,7 @@ def test_sweep_config_validation():
     # The edges of each range are accepted.
     SweepConfig(snr_start_db=2.0, snr_stop_db=2.0, sps=2)
     SweepConfig(f_d_hz=-999_999.0, tau_samples=3.0, match_threshold=0)
-    SweepConfig(match_threshold=256)
+    SweepConfig(match_threshold=256, master_seed=0)
 
 
 def test_parse_config_and_precedence(tmp_path):
@@ -120,6 +123,59 @@ def test_parse_config_rejects_bad_lines(tmp_path):
         parse_config(bad)
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_sources({"snr_banana": "1"}, {})
+    with pytest.raises(ValueError, match="'packets'"):
+        config_from_sources({"packets": "ten"}, {})
+
+
+def test_config_file_booleans():
+    for text, value in (("1", True), ("TRUE", True), ("Yes", True),
+                        ("0", False), ("false", False), ("NO", False)):
+        assert config_from_sources({"exclude_missed": text}, {}).exclude_missed is value
+    # Anything else is an error, never a silent False.
+    for text in ("ture", "on", "2", ""):
+        with pytest.raises(ValueError, match="'exclude_missed'"):
+            config_from_sources({"exclude_missed": text}, {})
+
+
+# Every `dualmodem sweep` settings flag and its dest, as scripts and the
+# sweep benchmark spell them.
+SWEEP_FLAGS = {
+    "--mode": "mode",
+    "--snr-start": "snr_start",
+    "--snr-stop": "snr_stop",
+    "--snr-step": "snr_step",
+    "--packets": "packets",
+    "--payload-bits": "payload_bits",
+    "--sps": "sps",
+    "--nfft": "nfft",
+    "--seed": "seed",
+    "--fd-hz": "fd_hz",
+    "--theta-rad": "theta_rad",
+    "--tau-samples": "tau_samples",
+    "--match-threshold": "match_threshold",
+    "--exclude-missed": "exclude_missed",
+}
+
+
+def test_cli_flags_follow_the_config_table():
+    parser = build_parser()
+    assert sorted(SWEEP_FLAGS.values()) == sorted(_CONFIG_FIELDS)
+    absent = parser.parse_args(["sweep"])
+    for flag, key in SWEEP_FLAGS.items():
+        # An absent flag leaves a config-file value standing.
+        assert getattr(absent, key) is None, key
+        if key == "exclude_missed":
+            assert parser.parse_args(["sweep", flag]).exclude_missed is True
+            continue
+        text = "msk" if key == "mode" else "2"
+        _field, conv = _CONFIG_FIELDS[key]
+        assert getattr(parser.parse_args(["sweep", flag, text]), key) == conv(text), flag
+    defaults = SweepConfig()
+    dec = parser.parse_args(["decode", "x.iq"])
+    assert (dec.payload_bits, dec.nfft) == (defaults.payload_bits, defaults.n_fft)
+    cx = parser.parse_args(["complexity"])
+    assert (cx.sps, cx.payload_bits, cx.nfft) == (defaults.sps, defaults.payload_bits,
+                                                  defaults.n_fft)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +290,7 @@ def test_auto_mode_tracks_snr():
     high = ber_sweep(_tiny_cfg(mode="auto", snr_start_db=12.0, snr_stop_db=12.0,
                                packets_per_point=40)).points[0]
     assert high.msk_fraction > 0.8
-    assert high.mode_label == "auto"
+    assert high.mode == "auto"
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +428,8 @@ def test_cli_rejects_zero_settings(tmp_path):
         main(["sweep", "--snr-start", "4", "--snr-stop", "2", "--packets", "1"])
     with pytest.raises(ValueError, match="finite"):
         main(["sweep", "--snr-start", "nan", "--packets", "1"])
+    with pytest.raises(ValueError, match="master_seed"):
+        main(["sweep", "--seed", "-1", "--workers", "2", "--packets", "1"])
 
 
 def test_module_selftest_runs_without_warnings():
@@ -390,6 +448,9 @@ def test_module_selftest_runs_without_warnings():
 def test_parser_rejects_unknown_mode():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["sweep", "--mode", "fsk"])
+    # decode runs one chain, so it takes no auto mode.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["decode", "x.iq", "--mode", "auto"])
 
 
 _FAULT_PROBE = """

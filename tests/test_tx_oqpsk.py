@@ -36,7 +36,6 @@ def test_half_sine_taps_shape_and_peak():
 
 def test_sign_pattern_period_and_offset():
     assert np.array_equal(sign_pattern(8), np.tile(SIGN_PATTERN_PERIOD4, 2))
-    assert np.array_equal(sign_pattern(4, start_index=2), [-1.0, 1.0, 1.0, -1.0])
     # The XOR-bit form flags exactly the negative signs.
     assert np.array_equal(SIGN_PATTERN_BITS, (SIGN_PATTERN_PERIOD4 < 0).astype(np.uint8))
 
@@ -45,7 +44,6 @@ def test_chip_amplitudes_applies_signs():
     chips = np.array([1, 1, 0, 0], dtype=np.uint8)
     got = chip_amplitudes(chips)
     assert np.array_equal(got, (2.0 * chips - 1.0) * SIGN_PATTERN_PERIOD4)
-    assert chip_amplitudes([1], start_index=5)[0] == -1.0
 
 
 def test_modulate_output_length():
@@ -83,8 +81,9 @@ def _reference_modulate(chips, sps, head_bit, tail_bit):
     n_chips = chips.size
     pulse = half_sine_taps(2 * sps)
     amps = chip_amplitudes(chips)
-    head_amp = chip_amplitudes(np.array([head_bit]), start_index=-1)[0]
-    tail_amp = chip_amplitudes(np.array([tail_bit]), start_index=n_chips)[0]
+    # The edge chips sit at chip indices -1 and n_chips.
+    head_amp = (2.0 * head_bit - 1.0) * SIGN_PATTERN_PERIOD4[-1 % 4]
+    tail_amp = (2.0 * tail_bit - 1.0) * SIGN_PATTERN_PERIOD4[n_chips % 4]
     out = np.zeros((n_chips + 1) * sps, dtype=np.complex128)
     i_blocks = (amps[0::2][:, None] * pulse).reshape(-1)
     out[: i_blocks.size] += i_blocks
