@@ -13,6 +13,12 @@ from .mode_controller import preamble_match_count
 from .tx_oqpsk import IqBuffer
 
 
+def check_n_fft(n_fft: int) -> None:
+    """Raise ValueError unless n_fft (carrier FFT size) is a power of two >= 64."""
+    if n_fft < 64 or n_fft & (n_fft - 1):
+        raise ValueError("n_fft must be a power of two >= 64")
+
+
 @dataclass
 class RxConfig:
     """Settings common to both demodulators: the expected payload length
@@ -22,10 +28,8 @@ class RxConfig:
     n_fft: int = 2048
 
     def __post_init__(self):
-        if self.payload_bits <= 0 or self.payload_bits % 4:
-            raise ValueError("payload_bits must be a positive multiple of 4")
-        if self.n_fft < 64 or self.n_fft & (self.n_fft - 1):
-            raise ValueError("n_fft must be a power of two >= 64")
+        phy_frames.FrameLayout(payload_bits=self.payload_bits)  # validates the payload length
+        check_n_fft(self.n_fft)
 
 
 @dataclass

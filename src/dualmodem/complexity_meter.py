@@ -24,6 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rxtypes import RxConfig
+from .tx_oqpsk import DEFAULT_SPS
+
 STAGE_STR = "Symbol Timing Recovery"
 STAGE_MF_STR = "Matched Filter and Symbol Timing Recovery"
 STAGE_CARRIER = "Frequency and Phase Synchronization"
@@ -52,10 +55,10 @@ class ComplexityParams:
     """
 
     l_pulses: int = 32
-    n_sample: int = 16
+    n_sample: int = 2 * DEFAULT_SPS
     n_preamble: int = 64
-    n_bits: int = 200
-    n_fft: int = 2048
+    n_bits: int = RxConfig.payload_bits
+    n_fft: int = RxConfig.n_fft
 
     def __post_init__(self):
         for name in ("l_pulses", "n_sample", "n_preamble", "n_fft"):

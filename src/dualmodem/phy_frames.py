@@ -122,25 +122,16 @@ def symbols_to_bits(symbols) -> np.ndarray:
     return _SYMBOL_BITS[_as_symbols(symbols)].reshape(-1)
 
 
-def spread_symbols(symbols) -> np.ndarray:
-    """Concatenated chip sequences for a symbol vector."""
-    return CHIP_TABLE[_as_symbols(symbols)].reshape(-1)
+def despread_chips(chips) -> tuple[int, int]:
+    """Map 32 hard chips to the nearest table row: despread_stream on one block.
 
-
-def despread_chips(chips, counter=None) -> tuple[int, int]:
-    """Map 32 hard chips to the nearest table row.
-
-    Returns (symbol, hamming_distance).  Ties break to the lowest symbol
-    index.  `counter` is an optional complexity tally (see complexity_meter).
+    Returns (symbol, hamming_distance).  Ties break to the lowest symbol index.
     """
     chips = as_bits(chips, "chips")
     if chips.size != CHIPS_PER_SYMBOL:
         raise ValueError("despreading needs exactly 32 chips")
-    distances = np.count_nonzero(CHIP_TABLE ^ chips, axis=1)
-    symbol = int(np.argmin(distances))
-    if counter is not None:
-        counter.tally_despread(1)
-    return symbol, int(distances[symbol])
+    symbols, distances = despread_stream(chips)
+    return int(symbols[0]), int(distances[0])
 
 
 def despread_stream(chips, counter=None) -> tuple[np.ndarray, np.ndarray]:
@@ -188,14 +179,6 @@ def differential_decode(chips) -> np.ndarray:
 # chains.
 PREAMBLE_CHIPS = np.tile(CHIP_TABLE[0], 8)
 PREAMBLE_CHIPS.flags.writeable = False
-
-
-def frame_source_chips(payload_bits) -> np.ndarray:
-    """The frame chip stream before differential encoding: preamble chips
-    followed by the spread payload."""
-    payload_bits = as_bits(payload_bits)
-    FrameLayout(payload_bits=payload_bits.size)  # validates the payload length
-    return np.concatenate([PREAMBLE_CHIPS, spread_symbols(bits_to_symbols(payload_bits))])
 
 
 def encoded_rows(table: np.ndarray) -> np.ndarray:

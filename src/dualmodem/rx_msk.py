@@ -19,7 +19,6 @@ from . import phy_frames
 from ._rxtypes import (
     SYNC_THRESHOLD,
     DemodReport,
-    MskTimingStat,
     RxConfig,
     comb_correlate,
     earliest_peak,
@@ -39,51 +38,45 @@ ANTIPODAL.flags.writeable = False
 PREAMBLE_BLOCK = preamble_block(ANTIPODAL[phy_frames.PREAMBLE_CHIPS])
 
 
-def diff_detect(buf: IqBuffer, counter=None, tau: int | None = None) -> np.ndarray:
-    """y[n] = Im(z[n] * conj(z[n - sps])) / (|z[n]| * |z[n - sps]| + DIFF_DETECT_EPS).
+def diff_detect(buf: IqBuffer, tau: int, counter=None) -> np.ndarray:
+    """The phase-difference detector at the chip instants n = tau + k*sps:
+    y[k] = Im(z[n] * conj(z[n - sps])) / (|z[n]| * |z[n - sps]| + DIFF_DETECT_EPS).
 
     The imaginary part of the lag product is the sine of the phase advance
-    over one chip, so y sits near +-1 at chip boundaries.  y[n] is zero for
-    n < sps where no lagged sample exists.
-
-    With `tau` in [0, sps), y is formed only at the chip instants
-    tau + k*sps, one entry per instant (a lag of 1): the result is
-    diff_detect(buf)[tau::sps], and detect_chips(result, 0, 1) gives the
-    decisions of detect_chips(diff_detect(buf), tau, sps).
+    over one chip, so y sits near +-1 at chip boundaries.  y[0] is zero: the
+    first instant has no lagged sample.  `tau` must lie in [0, sps).
     """
     z = buf.samples
-    lag = buf.sps
-    if z.size <= lag:
+    sps = buf.sps
+    if z.size <= sps:
         raise ValueError("buffer must be longer than one chip")
-    if tau is not None:
-        if not 0 <= tau < lag:
-            raise ValueError("timing phase must lie in [0, sps)")
-        z, lag = z[tau::lag], 1
+    if not 0 <= tau < sps:
+        raise ValueError("timing phase must lie in [0, sps)")
+    z = z[tau::sps]
     y = np.zeros(z.size, dtype=np.float64)
-    prod = z[lag:] * np.conj(z[:-lag])
+    prod = z[1:] * np.conj(z[:-1])
     mag = np.abs(z)
-    norm = mag[lag:] * mag[:-lag] + DIFF_DETECT_EPS
-    y[lag:] = prod.imag / norm
+    norm = mag[1:] * mag[:-1] + DIFF_DETECT_EPS
+    y[1:] = prod.imag / norm
     if counter is not None:
-        counter.tally_diff_detect(z.size - lag)
+        counter.tally_diff_detect(z.size - 1)
     return y
 
 
-def detect_chips(
-    y: np.ndarray, timing: MskTimingStat | int, sps: int, counter=None
-) -> np.ndarray:
-    """Hard chip decisions: sample y, formed at a lag of `sps` samples, at the
-    end of each chip interval.
+def detect_chips(y: np.ndarray, counter=None) -> np.ndarray:
+    """Hard chip decisions on diff_detect's output: a positive phase ramp
+    means chip 1, and exact zeros (e.g. dead air) decide 0.
 
-    A positive phase ramp means chip 1.  Exact zeros (e.g. dead air) decide 0.
+    y[0] has no lagged sample, so the first chip always decides 0.  Keeping
+    it keeps the whole frame on the decision grid when the timing phase
+    lands one sample early (tau_hat = truth - 1 mod sps shifts the chip
+    stream forward by one; without that chip the frame would overrun the
+    buffer tail and be dropped).  Only the other y.size - 1 chips are
+    booked as decisions.
     """
-    tau = timing.tau_hat if isinstance(timing, MskTimingStat) else int(timing)
-    if not 0 <= tau < sps:
-        raise ValueError("timing phase must lie in [0, sps)")
-    decisions = y[tau + sps :: sps]
     if counter is not None:
-        counter.tally_bit_decisions(decisions.size)
-    return (decisions > 0).astype(np.uint8)
+        counter.tally_bit_decisions(y.size - 1)
+    return (y > 0).astype(np.uint8)
 
 
 def frame_sync_msk(chips, counter=None) -> tuple[bool, int]:
@@ -118,13 +111,7 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
         return report
     stat = msk_timing(buf)
     report.timing = stat
-    y = diff_detect(buf, counter=counter, tau=stat.tau_hat)
-    # detect_chips skips the first chip instant, which has no lagged sample.
-    # Deciding it anyway, as 0, keeps the whole frame on the decision grid
-    # when the timing phase lands one sample early (tau_hat = truth - 1 mod
-    # sps shifts the chip stream forward by one; without that chip the frame
-    # would overrun the buffer tail and be dropped).
-    chips = np.concatenate((np.zeros(1, dtype=np.uint8), detect_chips(y, 0, 1, counter=counter)))
+    chips = detect_chips(diff_detect(buf, stat.tau_hat, counter=counter), counter=counter)
     found, c0 = frame_sync_msk(chips, counter=counter)
     if not found or c0 + layout.total_chips > chips.size:
         return report

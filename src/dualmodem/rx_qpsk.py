@@ -28,6 +28,7 @@ from ._rxtypes import (
     SYNC_THRESHOLD,
     DemodReport,
     RxConfig,
+    check_n_fft,
     comb_correlate,
     earliest_peak,
     finish_frame,
@@ -175,7 +176,7 @@ def elg_timing(
 
 
 def rb_carrier_estimate(
-    symbols, t_sym_s: float, n_fft: int = 2048, counter=None
+    symbols, t_sym_s: float, n_fft: int = RxConfig.n_fft, counter=None
 ) -> CarrierEstimate:
     """Frequency/phase estimate from the power-of-four spectrum.
 
@@ -188,8 +189,7 @@ def rb_carrier_estimate(
     |f_d_hat| <= 1/(8*t_sym_s) and theta_hat in (-pi/4, pi/4].
     """
     z = np.asarray(symbols, dtype=np.complex128)
-    if n_fft < 64 or n_fft & (n_fft - 1):
-        raise ValueError("n_fft must be a power of two >= 64")
+    check_n_fft(n_fft)
     if z.size < MIN_CARRIER_SAMPLES:
         raise ValueError(f"need at least {MIN_CARRIER_SAMPLES} symbol-spaced samples")
     w = z[:n_fft] ** RB_POWER
@@ -330,16 +330,13 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # The preamble correlator runs at symbol rate; pairing consecutive
     # boundary samples re-forms QPSK symbols.  Both chip parities of the
     # frame start are tried and the stronger peak wins.
-    n_pairs0 = x.size // 2
-    u0 = x[0 : 2 * n_pairs0 : 2] + x[1 : 2 * n_pairs0 : 2]
-    n_pairs1 = (x.size - 1) // 2
-    u1 = x[1 : 2 * n_pairs1 : 2] + x[2 : 2 * n_pairs1 + 1 : 2]
-    peak0, lag0, phase0 = _preamble_peak(u0, counter=counter)
-    peak1, lag1, phase1 = _preamble_peak(u1, counter=counter)
-    if peak0 >= peak1:
-        peak, parity, m0, delta_hat = peak0, 0, lag0, phase0
-    else:
-        peak, parity, m0, delta_hat = peak1, 1, lag1, phase1
+    candidates = []
+    for parity in (0, 1):
+        n = (x.size - parity) // 2
+        u = x[parity : parity + 2 * n : 2] + x[parity + 1 : parity + 2 * n + 1 : 2]
+        candidates.append((*_preamble_peak(u, counter=counter), parity))
+    # max keeps the first of equal peaks: parity 1 wins only on a strictly greater one.
+    peak, m0, delta_hat, parity = max(candidates, key=lambda c: c[0])
     r0 = 2 * m0 + parity
     if not peak >= SYNC_THRESHOLD or r0 + layout.total_chips > x.size:
         return report

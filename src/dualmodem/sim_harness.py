@@ -25,7 +25,7 @@ from ._rxtypes import RxConfig
 from .channel_model import ChannelParams, apply as channel_apply, check_offset
 from .complexity_meter import ComplexityParams, msk_op_counts, qpsk_op_counts
 from .mode_controller import DEFAULT_MATCH_THRESHOLD, MODE_MSK, MODE_QPSK, ModeState, step_mode
-from .tx_oqpsk import CHIP_RATE_HZ, IqBuffer, check_sps, modulate
+from .tx_oqpsk import CHIP_RATE_HZ, DEFAULT_SPS, IqBuffer, check_sps, modulate
 
 CSV_COLUMNS = (
     "snr_db",
@@ -55,10 +55,10 @@ class SweepConfig:
     snr_stop_db: float = 14.0
     snr_step_db: float = 2.0
     packets_per_point: int = 2000
-    payload_bits: int = 200
+    payload_bits: int = RxConfig.payload_bits
     mode: str = MODE_QPSK
-    sps: int = 8
-    n_fft: int = 2048
+    sps: int = DEFAULT_SPS
+    n_fft: int = RxConfig.n_fft
     master_seed: int = 0
     f_d_hz: float = 0.0
     theta_rad: float | None = None
@@ -96,12 +96,10 @@ class SweepConfig:
 class PacketRecord:
     """Outcome of one Monte Carlo trial."""
 
-    snr_db: float
     mode: str
     frame_found: bool
     bit_errors: int
     preamble_match: int
-    n_bits: int
 
 
 @dataclass(frozen=True)
@@ -168,22 +166,20 @@ def run_packet(
     else:
         errors = cfg.payload_bits
     return PacketRecord(
-        snr_db=snr_db if snr_db is not None else float("inf"),
         mode=mode,
         frame_found=bool(report.frame_found),
         bit_errors=errors,
         preamble_match=int(report.preamble_match_count),
-        n_bits=cfg.payload_bits,
     )
 
 
-def _complexity_params(sps: int, payload_bits: int, n_fft: int) -> ComplexityParams:
+def _complexity_params(cfg: SweepConfig) -> ComplexityParams:
     """The operation-count model of a chain run at these settings."""
-    return ComplexityParams(n_sample=2 * sps, n_bits=payload_bits, n_fft=n_fft)
+    return ComplexityParams(n_sample=2 * cfg.sps, n_bits=cfg.payload_bits, n_fft=cfg.n_fft)
 
 
 def _aggregate_point(cfg: SweepConfig, snr_db: float, records: list[PacketRecord]) -> SweepPoint:
-    params = _complexity_params(cfg.sps, cfg.payload_bits, cfg.n_fft)
+    params = _complexity_params(cfg)
     per_chain = {MODE_MSK: msk_op_counts(params), MODE_QPSK: qpsk_op_counts(params)}
     packets = len(records)
     detected = sum(r.frame_found for r in records)
@@ -419,7 +415,8 @@ def _add_config_flags(p: argparse.ArgumentParser, keys, defaults: SweepConfig | 
 
 
 def _config_from_args(args: argparse.Namespace) -> SweepConfig:
-    file_values = parse_config(args.config) if args.config else {}
+    config = getattr(args, "config", None)
+    file_values = parse_config(config) if config else {}
     cli_values = {key: getattr(args, key, None) for key in _CONFIG_FIELDS}
     return config_from_sources(file_values, cli_values)
 
@@ -452,7 +449,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    params = _complexity_params(args.sps, args.payload_bits, args.nfft)
+    params = _complexity_params(_config_from_args(args))
     print(msk_op_counts(params).as_text())
     print()
     print(qpsk_op_counts(params).as_text())
@@ -463,7 +460,7 @@ def _cmd_selftest(args) -> int:
     rng = np.random.default_rng(7)
     ok = True
     for mode, chain in _CHAINS.items():
-        payload = rng.integers(0, 2, 200).astype(np.uint8)
+        payload = rng.integers(0, 2, RxConfig.payload_bits).astype(np.uint8)
         buf = modulate(phy_frames.build_frame(payload))
         report = chain.demodulate(buf, RxConfig())
         good = report.frame_found and np.array_equal(report.payload_bits, payload)

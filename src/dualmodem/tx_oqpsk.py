@@ -30,13 +30,14 @@ import numpy as np
 from .phy_frames import as_bits
 
 CHIP_RATE_HZ = 2_000_000.0
+DEFAULT_SPS = 8  # samples per chip
 
 # Per-chip sign factor, period 4 in the chip index: +1 -1 -1 +1.  Chosen so
 # that the chip-k phase ramp direction equals the pre-encoding chip (see
 # module docstring); the convention is pinned by the loopback tests.
 SIGN_PATTERN_PERIOD4 = np.array([1.0, -1.0, -1.0, 1.0])
 # Same pattern as XOR bits for undoing it on hard sliced chips.
-SIGN_PATTERN_BITS = np.array([0, 1, 1, 0], dtype=np.uint8)
+SIGN_PATTERN_BITS = np.array([int(s < 0) for s in SIGN_PATTERN_PERIOD4.tolist()], dtype=np.uint8)
 
 
 def check_sps(sps: int) -> None:
@@ -50,7 +51,7 @@ class IqBuffer:
     """Complex baseband samples with their timing metadata."""
 
     samples: np.ndarray
-    sps: int = 8
+    sps: int = DEFAULT_SPS
     chip_rate_hz: float = CHIP_RATE_HZ
 
     def __post_init__(self):
@@ -58,6 +59,8 @@ class IqBuffer:
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         check_sps(self.sps)
+        if not 0.0 < self.chip_rate_hz < float("inf"):
+            raise ValueError("chip_rate_hz must be finite and positive")
 
     @property
     def sample_rate_hz(self) -> float:
@@ -102,8 +105,11 @@ def chip_amplitudes(chips) -> np.ndarray:
 # differs from its sign-pattern bit, so the row is (2*chip[p] + chip[p-1])
 # XOR a key of period 4 in p: 4*(p odd) + 2*SIGN_PATTERN_BITS[p % 4] +
 # SIGN_PATTERN_BITS[(p - 1) % 4].  The four keys as one native uint32 word,
-# to XOR four periods' rows at a time.
-_PERIOD_KEYS = np.array([0, 6, 3, 5], dtype=np.uint8).view(np.uint32)
+# to XOR four periods' rows at a time, computed in Python ints.
+_PERIOD_KEYS = np.array(
+    [4 * (p % 2) + 2 * int(SIGN_PATTERN_BITS[p]) + int(SIGN_PATTERN_BITS[p - 1])
+     for p in range(4)], dtype=np.uint8
+).view(np.uint32)
 
 
 @functools.cache
@@ -128,7 +134,7 @@ def period_table(sps: int) -> np.ndarray:
     return table
 
 
-def modulate(chips, sps: int = 8) -> IqBuffer:
+def modulate(chips, sps: int = DEFAULT_SPS) -> IqBuffer:
     """O-QPSK/half-sine modulate a chip stream.
 
     Returns (n_chips + 1) * sps complex samples: the Q rail trails the I rail

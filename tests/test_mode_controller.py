@@ -49,7 +49,7 @@ def test_verdict_threshold_edge(monkeypatch):
     for match, msk_fraction in ((251, 0.25), (250, 0.0)):
 
         def run_packet(cfg, snr_db, snr_index, packet_index, mode, match=match):
-            return sim_harness.PacketRecord(snr_db, mode, True, 0, match, cfg.payload_bits)
+            return sim_harness.PacketRecord(mode, True, 0, match)
 
         monkeypatch.setattr(sim_harness, "run_packet", run_packet)
         assert sim_harness.ber_sweep(cfg).points[0].msk_fraction == msk_fraction

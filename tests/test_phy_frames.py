@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from dualmodem import phy_frames as pf
 
+from frame_reference import frame_source_chips, spread_symbols
+
 
 # ---------------------------------------------------------------------------
 # Chip table structure and transcription
@@ -96,14 +98,14 @@ def test_non_binary_payloads_are_rejected_not_truncated():
 
 
 def test_spread_symbols_concatenates():
-    out = pf.spread_symbols([3, 12])
+    out = spread_symbols([3, 12])
     assert out.size == 64
     assert np.array_equal(out[:32], pf.CHIP_TABLE[3])
     assert np.array_equal(out[32:], pf.CHIP_TABLE[12])
-    assert pf.spread_symbols([]).size == 0
+    assert spread_symbols([]).size == 0
 
 
-@pytest.mark.parametrize("fn", [pf.spread_symbols, pf.symbols_to_bits])
+@pytest.mark.parametrize("fn", [spread_symbols, pf.symbols_to_bits])
 def test_symbols_must_be_whole_indices(fn):
     # A cast to int64 would read 0.5 as symbol 0 and 3.7 as symbol 3.
     for symbols in ([0.5], [3.7], [np.nan], [-1], [16], [2.0, 16.0]):
@@ -142,13 +144,30 @@ def test_despread_ties_break_to_lowest_symbol():
 def test_despread_stream_matches_per_symbol_calls():
     rng = np.random.default_rng(2)
     symbols = rng.integers(0, 16, 20)
-    chips = pf.spread_symbols(symbols)
+    chips = spread_symbols(symbols)
     noisy = chips.copy()
     noisy[rng.choice(chips.size, 30, replace=False)] ^= 1
     got_syms, got_dist = pf.despread_stream(noisy)
     for i in range(20):
         s, d = pf.despread_chips(noisy[32 * i : 32 * (i + 1)])
         assert got_syms[i] == s and got_dist[i] == d
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.integers(0, 1), min_size=32 * n, max_size=32 * n)
+    )
+)
+@example([0] * 32)
+@example([1] * 32)
+@settings(max_examples=60, deadline=None)
+def test_despread_chips_is_despread_stream_per_block(bits):
+    chips = np.array(bits, dtype=np.uint8)
+    symbols, distances = pf.despread_stream(chips)
+    for i in range(symbols.size):
+        got = pf.despread_chips(chips[32 * i : 32 * (i + 1)])
+        assert got == (symbols[i], distances[i])
+        assert all(type(value) is int for value in got)
 
 
 def _despread_stream_reference(chips):
@@ -162,7 +181,7 @@ def _despread_stream_reference(chips):
 @pytest.mark.parametrize("n_blocks", [0, 1, 50, 257])
 def test_despread_stream_matches_broadcast_xor_reference(n_blocks):
     rng = np.random.default_rng(n_blocks)
-    chips = pf.spread_symbols(rng.integers(0, 16, n_blocks))
+    chips = spread_symbols(rng.integers(0, 16, n_blocks))
     for flips in (0, 3, 9, 16):
         noisy = chips.copy()
         for i in range(n_blocks):
@@ -246,7 +265,7 @@ def test_preamble_is_eight_repeats_of_row_0():
     assert pre.size == 256
     assert np.array_equal(pre.reshape(8, 32), np.tile(pf.CHIP_TABLE[0], (8, 1)))
     # 32 all-zero bits spread to the same chips.
-    assert np.array_equal(pre, pf.spread_symbols(pf.bits_to_symbols(np.zeros(32))))
+    assert np.array_equal(pre, spread_symbols(pf.bits_to_symbols(np.zeros(32))))
 
 
 def test_preamble_chips_are_read_only():
@@ -266,7 +285,7 @@ def test_build_frame_equals_one_encoder_run(bits):
     payload = np.array(bits, dtype=np.uint8)
     frame = pf.build_frame(payload)
     assert frame.dtype == np.uint8
-    assert np.array_equal(frame, pf.differential_encode(pf.frame_source_chips(payload)))
+    assert np.array_equal(frame, pf.differential_encode(frame_source_chips(payload)))
 
 
 def test_encoded_table_rows_and_parity_guard():
@@ -285,10 +304,10 @@ def test_build_frame_is_encoded_source_stream():
     payload = rng.integers(0, 2, 40).astype(np.uint8)
     frame = pf.build_frame(payload)
     assert frame.dtype == np.uint8 and frame.shape == (256 + 8 * payload.size,)
-    source = pf.frame_source_chips(payload)
+    source = frame_source_chips(payload)
     assert np.array_equal(frame, pf.differential_encode(source))
     assert np.array_equal(source[:256], pf.PREAMBLE_CHIPS)
     assert np.array_equal(
-        source[256:], pf.spread_symbols(pf.bits_to_symbols(payload))
+        source[256:], spread_symbols(pf.bits_to_symbols(payload))
     )
 

@@ -14,6 +14,7 @@ from dualmodem._rxtypes import (
 from dualmodem.channel_model import ChannelParams, apply
 from dualmodem.complexity_meter import RuntimeCounters
 from dualmodem.rx_msk import (
+    DIFF_DETECT_EPS,
     PREAMBLE_BLOCK,
     demodulate,
     detect_chips,
@@ -23,6 +24,8 @@ from dualmodem.rx_msk import (
 )
 from dualmodem.rx_qpsk import demodulate as demodulate_qpsk
 from dualmodem.tx_oqpsk import IqBuffer, modulate
+
+from frame_reference import frame_source_chips
 
 SPS = 8
 # numpy computes a binary op in place into a temporary of at least 256 KiB
@@ -46,30 +49,41 @@ def _frame_buf(payload, sps=SPS):
 # ---------------------------------------------------------------------------
 
 
+def _diff_detect_full_buffer(z, sps):
+    """The phase-difference detector at every sample, zero for the first
+    sps samples, which have no lagged sample."""
+    y = np.zeros(z.size)
+    mag = np.abs(z)
+    y[sps:] = (z[sps:] * np.conj(z[:-sps])).imag / (mag[sps:] * mag[:-sps] + DIFF_DETECT_EPS)
+    return y
+
+
 def test_diff_detect_bounded_and_zero_head():
     rng = np.random.default_rng(0)
     buf = _buf(rng.standard_normal(200) + 1j * rng.standard_normal(200))
-    y = diff_detect(buf)
-    assert np.all(y[:SPS] == 0.0)
-    assert np.all(np.abs(y) <= 1.0 + 1e-12)
+    for tau in range(SPS):
+        y = diff_detect(buf, tau)
+        assert y[0] == 0.0
+        assert np.all(np.abs(y) <= 1.0 + 1e-12)
 
 
 def test_diff_detect_reads_ramp_signs():
     rng = np.random.default_rng(1)
     payload = rng.integers(0, 2, 40).astype(np.uint8)
-    source = pf.frame_source_chips(payload)
+    source = frame_source_chips(payload)
     buf = _frame_buf(payload)
-    y = diff_detect(buf)
+    y = diff_detect(buf, 0)
     # At each chip-boundary instant the normalized lag product is +-1 with
     # the sign of the source chip's phase ramp.
-    boundary = y[SPS :: SPS][: source.size]
+    boundary = y[1:]
+    assert boundary.size == source.size
     assert np.allclose(np.abs(boundary), 1.0, atol=1e-9)
     assert np.array_equal((boundary > 0).astype(np.uint8), source)
 
 
 def test_diff_detect_rejects_short_buffer():
     with pytest.raises(ValueError):
-        diff_detect(_buf(np.zeros(SPS)))
+        diff_detect(_buf(np.zeros(SPS)), 0)
 
 
 def _noisy_buffers(seed, sizes):
@@ -80,11 +94,12 @@ def _noisy_buffers(seed, sizes):
 
 def test_chip_instant_detector_matches_full_buffer():
     for buf in _noisy_buffers(20, (SPS + 1, 2 * SPS, 257, 4_096, EXACT_MAX_SAMPLES)):
-        full = diff_detect(buf)
+        full = _diff_detect_full_buffer(buf.samples, SPS)
         for tau in range(SPS):
-            assert np.array_equal(diff_detect(buf, tau=tau), full[tau::SPS])
-    with pytest.raises(ValueError):
-        diff_detect(_buf(np.zeros(64)), tau=SPS)
+            assert diff_detect(buf, tau).tobytes() == full[tau::SPS].tobytes()
+    for tau in (-1, SPS):
+        with pytest.raises(ValueError, match="timing phase"):
+            diff_detect(_buf(np.zeros(64)), tau)
 
 
 def test_chip_instant_decisions_match_padded_full_buffer():
@@ -96,11 +111,12 @@ def test_chip_instant_decisions_match_padded_full_buffer():
         ChannelParams(snr_db=0.0, seed=5),
     )
     for buf in (*_noisy_buffers(22, (3 * SPS, 5_001, 20_000)), frame):
-        padded = _buf(np.concatenate([np.zeros(SPS), buf.samples]))
+        padded = np.concatenate([np.zeros(SPS), buf.samples])
+        y_padded = _diff_detect_full_buffer(padded, SPS)
         for tau in range(SPS):
-            ref = detect_chips(diff_detect(padded), tau, SPS)
-            chips = detect_chips(diff_detect(buf, tau=tau), 0, 1)
-            assert np.array_equal(np.concatenate(([0], chips)), ref), (len(buf), tau)
+            ref = (y_padded[tau + SPS :: SPS] > 0).astype(np.uint8)
+            chips = detect_chips(diff_detect(buf, tau))
+            assert np.array_equal(chips, ref), (len(buf), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +197,27 @@ def test_detect_chips_ideal_frame():
     rng = np.random.default_rng(6)
     payload = rng.integers(0, 2, 40).astype(np.uint8)
     buf = _frame_buf(payload)
-    chips = detect_chips(diff_detect(buf), msk_timing(buf), SPS)
-    source = pf.frame_source_chips(payload)
-    assert np.array_equal(chips, source)
+    chips = detect_chips(diff_detect(buf, msk_timing(buf).tau_hat))
+    source = frame_source_chips(payload)
+    # The first instant has no lagged sample and decides 0; every chip
+    # instant after it carries one source chip.
+    assert chips[0] == 0
+    assert np.array_equal(chips[1:], source)
 
 
-def test_detect_chips_accepts_integer_timing_and_ties_to_zero():
-    y = np.zeros(64)
-    chips = detect_chips(y, 0, SPS)
-    assert not chips.any()
-    with pytest.raises(ValueError):
-        detect_chips(y, SPS, SPS)
-    with pytest.raises(ValueError):
-        detect_chips(y, -1, SPS)
+def test_detect_chips_ties_to_zero():
+    rng = np.random.default_rng(14)
+    y = diff_detect(_buf(rng.standard_normal(400) + 1j * rng.standard_normal(400)), 3)
+    y[5:9] = 0.0
+    counter = RuntimeCounters()
+    chips = detect_chips(y, counter=counter)
+    assert chips.dtype == np.uint8 and chips.size == y.size
+    assert chips[0] == 0
+    assert np.array_equal(chips[1:], (y[1:] > 0).astype(np.uint8))
+    assert not chips[5:9].any()
+    # The first chip is fixed, not decided.
+    assert counter.bit_comparisons == y.size - 1
+    assert not detect_chips(np.zeros(64)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +228,7 @@ def test_detect_chips_accepts_integer_timing_and_ties_to_zero():
 def test_frame_sync_msk_finds_offset():
     rng = np.random.default_rng(7)
     payload = rng.integers(0, 2, 20).astype(np.uint8)
-    source = pf.frame_source_chips(payload)
+    source = frame_source_chips(payload)
     prefix = rng.integers(0, 2, 17).astype(np.uint8)
     found, start = frame_sync_msk(np.concatenate([prefix, source]))
     assert found and start == 17
@@ -212,7 +236,7 @@ def test_frame_sync_msk_finds_offset():
 
 def test_frame_sync_msk_exact_peak_value():
     counter = RuntimeCounters()
-    source = pf.frame_source_chips(np.ones(8, dtype=np.uint8))
+    source = frame_source_chips(np.ones(8, dtype=np.uint8))
     found, start = frame_sync_msk(source, counter=counter)
     assert found and start == 0
     assert counter.frame_sync_mults == 256**2
@@ -231,7 +255,7 @@ def test_frame_sync_msk_rejects_noise_and_short_input():
 def test_frame_sync_msk_prefers_earliest_near_tie():
     # An all-zero payload repeats the preamble row, producing equal peaks 32
     # chips apart; the earliest must win or the frame overruns the buffer.
-    source = pf.frame_source_chips(np.zeros(40, dtype=np.uint8))
+    source = frame_source_chips(np.zeros(40, dtype=np.uint8))
     found, start = frame_sync_msk(source)
     assert found and start == 0
 
@@ -256,7 +280,7 @@ def test_frame_sync_msk_comb_is_bit_exact():
             # with random chip errors.
             payload = np.zeros(200, dtype=np.uint8)
             payload[int(rng.integers(0, 200)) :] = rng.integers(0, 2, 1)[0]
-            source = pf.frame_source_chips(payload)
+            source = frame_source_chips(payload)
             start = int(rng.integers(0, max(1, n - source.size)))
             chips[start : start + source.size] = source[: n - start]
             chips[rng.choice(n, int(rng.integers(0, 40)), replace=False)] ^= 1
@@ -335,10 +359,11 @@ def test_demodulate_counter_plumbing():
     report = demodulate(buf, RxConfig(), counter=counter)
     assert counter.frame_sync_mults == 256**2
     assert counter.despread_xors == 50 * 512
-    # One lag product per pair of consecutive chip instants.
+    # One lag product per pair of consecutive chip instants, and a decision
+    # at every instant after the first.
     instants = len(buf.samples[report.timing.tau_hat :: SPS])
     assert counter.diff_mults == 6 * (instants - 1)
-    assert counter.bit_comparisons > 0
+    assert counter.bit_comparisons == instants - 1
 
 
 @pytest.mark.parametrize("chain", [demodulate, demodulate_qpsk], ids=["msk", "qpsk"])

@@ -390,6 +390,19 @@ def test_qpsk_comb_sync_picks_the_same_lag_and_parity(monkeypatch):
     assert any(found for found, _, _ in comb) and not all(found for found, _, _ in comb)
 
 
+def test_sync_parity_1_wins_only_on_a_strictly_greater_peak(monkeypatch):
+    # Both parities report lag 5; the frame then starts at chip 2*5 + parity
+    # of the grid, which begins one chip early.
+    buf = _frame_buf(np.zeros(200, dtype=np.uint8))
+    for peaks, parity in (((0.9, 0.9), 0), ((0.9, 0.9 + 1e-12), 1)):
+        stub = iter(peaks)
+        monkeypatch.setattr(
+            rx_qpsk, "_preamble_peak", lambda u, counter=None: (next(stub), 5, 0.0)
+        )
+        report = demodulate(buf, RxConfig(payload_bits=8))
+        assert report.frame_start == report.timing.tau_hat + (2 * 5 + parity - 1) * SPS
+
+
 def test_median_by_partition_matches_np_median():
     rng = np.random.default_rng(33)
     for n in (2, 64, 2048):

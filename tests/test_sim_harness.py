@@ -432,6 +432,36 @@ def test_cli_rejects_zero_settings(tmp_path):
         main(["sweep", "--seed", "-1", "--workers", "2", "--packets", "1"])
 
 
+@pytest.mark.parametrize(
+    "flags, match",
+    [
+        (["--sps", "3"], "sps"),
+        (["--nfft", "32"], "n_fft"),
+        (["--payload-bits", "0"], "payload_bits"),
+    ],
+    ids=["sps", "nfft", "payload-bits"],
+)
+def test_cli_complexity_rejects_what_sweep_rejects(flags, match, capsys):
+    with pytest.raises(ValueError, match=match):
+        main(["complexity", *flags])
+    with pytest.raises(ValueError, match=match):
+        main(["sweep", "--packets", "1", *flags])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("rate", ["0", "-2e6", "nan", "inf"])
+def test_iq_import_rejects_bad_chip_rate(tmp_path, capsys, rate):
+    path = tmp_path / "frame.iq"
+    iq_export(modulate(pf.build_frame(np.zeros(200, dtype=np.uint8))), path)
+    (tmp_path / "frame.iq.meta").write_text(f"sps = 8\nchip_rate_hz = {rate}\n")
+    with pytest.raises(ValueError, match="chip_rate_hz"):
+        iq_import(path)
+    for mode in ("qpsk", "msk"):
+        with pytest.raises(ValueError, match="chip_rate_hz"):
+            main(["decode", str(path), "--mode", mode])
+    assert capsys.readouterr().out == ""
+
+
 def test_module_selftest_runs_without_warnings():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

@@ -15,6 +15,8 @@ from dualmodem.tx_oqpsk import (
     sign_pattern,
 )
 
+from frame_reference import frame_source_chips
+
 
 def test_half_sine_taps_small_case():
     taps = half_sine_taps(4)
@@ -138,7 +140,7 @@ def test_phase_ramps_carry_source_chips():
     rng = np.random.default_rng(3)
     payload = rng.integers(0, 2, 32).astype(np.uint8)
     frame = pf.build_frame(payload)
-    source = pf.frame_source_chips(payload)
+    source = frame_source_chips(payload)
     buf = modulate(frame)
     z = buf.samples
     sps = buf.sps
