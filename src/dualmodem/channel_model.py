@@ -53,14 +53,12 @@ def noise_sigma(snr_db: float) -> float:
     return math.sqrt(10.0 ** (-snr_db / 10.0))
 
 
-def phasor_ramp(
-    size: int, f_hz: float, sample_period_s: float, theta_rad: float, conjugate: bool = False
-) -> np.ndarray:
+def phasor_ramp(size: int, f_hz: float, sample_period_s: float, theta_rad: float) -> np.ndarray:
     """exp(j*(2*pi*f_hz*n*sample_period_s + theta_rad)) for n = 0..size-1.
 
-    conjugate=True gives the inverse rotation, exp(-j*(...)).  The phase is
-    built in place in one float array and exponentiated in place in the
-    complex result, so the call allocates no other full-length array.
+    The phase is built in place in one float array and exponentiated in
+    place in the complex result, so the call allocates no other full-length
+    array.
     """
     phase = np.arange(size, dtype=np.float64)
     phase *= 2.0 * np.pi * f_hz
@@ -68,10 +66,7 @@ def phasor_ramp(
     phase += theta_rad
     rot = np.empty(size, dtype=np.complex128)
     rot.real = 0.0
-    if conjugate:
-        np.negative(phase, out=rot.imag)
-    else:
-        rot.imag = phase
+    rot.imag = phase
     return np.exp(rot, out=rot)
 
 

@@ -1,10 +1,19 @@
 """Coherent O-QPSK receiver chain.
 
 Stages: symbol timing, power-of-four carrier estimation (frequency from the
-FFT peak of z^4, phase from the angle at that bin), offset compensation when
-the estimate passes its confidence gate, half-sine matched filtering
-evaluated only at the chip decision instants, preamble correlation with
-phase-ambiguity resolution, chip slicing and despreading.
+FFT peak of z^4, phase from the angle at that bin), half-sine matched
+filtering evaluated only at the chip decision instants, offset compensation
+of those decisions when the estimate passes its confidence gate, preamble
+correlation with phase-ambiguity resolution, chip slicing and despreading.
+
+Compensation runs at the decision rate.  A frequency offset commutes with
+the filter once the taps are shifted by the same frequency:
+sum_m h[m] z[n-m] exp(-j*w*(n-m)) = exp(-j*w*n) * sum_m h[m] exp(j*w*m) z[n-m].
+So the gate-open chain filters with taps tuned to the estimate and rotates
+one sample per chip, not every input sample (frequency correction after
+the matched filter; Mengali & D'Andrea, Synchronization Techniques for
+Digital Receivers, 1997).  The identity is exact in real arithmetic; only
+float64 rounding differs from rotating the buffer first.
 
 Timing notes.  The textbook early-late gate (elg_timing) tracks the magnitude
 peaks of a pulse train and is exposed and tested as a standalone
@@ -19,6 +28,7 @@ rotation-free use.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +45,6 @@ from ._rxtypes import (
     msk_timing,
     preamble_block,
 )
-from .channel_model import phasor_ramp
 from .tx_oqpsk import (
     SIGN_PATTERN_BITS,
     IqBuffer,
@@ -77,7 +86,7 @@ class TimingEstimate:
     iterations_used: int
 
 
-def matched_filter(buf: IqBuffer, counter=None, phase: int | None = None):
+def matched_filter(buf: IqBuffer, counter=None, phase: int | None = None, f_hz: float = 0.0):
     """Convolve with the half-sine chip pulse (full overlap, len + N - 1 out).
 
     For a pulse starting at input index s the filtered peak lands at output
@@ -88,9 +97,17 @@ def matched_filter(buf: IqBuffer, counter=None, phase: int | None = None):
     of that output is computed, and it comes back as a plain array with one
     sample per chip instead of an IqBuffer: N multiply-adds per decision
     rather than per sample.
+
+    A nonzero `f_hz` tunes the taps to that frequency, h[m] * exp(j*w*m)
+    with w = 2*pi*f_hz*T_s.  Output n then equals exp(j*w*n) times the plain
+    filter's output n on the buffer rotated by exp(-j*w*k) at every sample
+    k, so compensate can remove a carrier offset from the grid alone.
     """
     sps = buf.sps
     taps = half_sine_taps(2 * sps)
+    if f_hz != 0.0:
+        w = 2.0 * np.pi * f_hz * buf.sample_period_s
+        taps = taps * np.exp(1j * w * np.arange(taps.size))
     z = buf.samples
     if phase is None:
         out = np.convolve(z, taps)
@@ -231,19 +248,17 @@ def _median(values: np.ndarray) -> float:
     return float((part[half - 1] + part[half]) / 2.0)
 
 
-def compensate(buf: IqBuffer, estimate: CarrierEstimate) -> IqBuffer:
-    """Remove the estimated rotation: z[n] * exp(-j*(2*pi*f_hat*n*T_s + theta_hat))."""
-    # The rotation stays an unnamed temporary: from 16,384 samples numpy then
-    # multiplies into its memory, with a loop that rounds the product
-    # differently from the out-of-place one.
-    out = buf.samples * phasor_ramp(
-        buf.samples.size,
-        estimate.f_d_hat_hz,
-        buf.sample_period_s,
-        estimate.theta_hat_rad,
-        conjugate=True,
-    )
-    return IqBuffer(samples=out, sps=buf.sps, chip_rate_hz=buf.chip_rate_hz)
+def compensate(
+    x: np.ndarray, estimate: CarrierEstimate, instants: range, sample_period_s: float
+) -> np.ndarray:
+    """Remove the estimated rotation from decision samples x[k] taken at
+    sample instants n_k: x[k] * exp(-j*(2*pi*f_hat*n_k*T_s + theta_hat)).
+    See the module docstring for why this follows a tuned filter."""
+    n = np.arange(instants.start, instants.stop, instants.step, dtype=np.float64)
+    n *= 2.0 * np.pi * estimate.f_d_hat_hz
+    n *= sample_period_s
+    n += estimate.theta_hat_rad
+    return x * np.exp(-1j * n)
 
 
 def preamble_reference_symbols() -> np.ndarray:
@@ -310,20 +325,25 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     est = rb_carrier_estimate(sym_raw, t_sym, n_fft=cfg.n_fft, counter=counter)
     report.carrier = est
 
-    # Compensate, then matched-filter the clean signal.  At low SNR the
+    # Matched-filter, then compensate the chip decisions.  At low SNR the
     # power-of-four spectrum degenerates to noise and its argmax is a random
     # bin; correcting with a bogus tone is strictly worse than correcting
     # with nothing (the data-aided correlation angle below absorbs any
     # constant phase).  Only a statistically significant peak is applied;
     # otherwise the buffer is filtered as it is, which is what compensating
     # by a zero estimate would give.
-    comp = compensate(buf, est) if est.peak_to_median >= RB_CONFIDENCE_MIN else buf
+    gate_open = est.peak_to_median >= RB_CONFIDENCE_MIN
     # Chip-rate decision samples: chip r's filtered peak sits one chip after
     # its raw boundary phi0 + (r+1)*sps.  The grid starts one chip early so
     # that a timing phase one sample under the truth (tau_hat = truth - 1
     # mod sps, which advances every decision by a chip) still leaves the
     # whole frame inside the slice.
-    x = matched_filter(comp, counter=counter, phase=phi0)
+    x = matched_filter(
+        buf, counter=counter, phase=phi0, f_hz=est.f_d_hat_hz if gate_open else 0.0
+    )
+    if gate_open:
+        instants = range(phi0 + sps, phi0 + sps * (x.size + 1), sps)
+        x = compensate(x, est, instants, buf.sample_period_s)
     if x.size < 2 * layout.preamble_chips // phy_frames.CHIPS_PER_SYMBOL:
         return report
 
@@ -343,14 +363,25 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
 
     # Slice chips on their own rail axis; the data-aided correlation angle
     # removes the residual rotation, and cross-rail spill is orthogonal to
-    # the decision axis at the correct instants.
-    xs = x[r0 : r0 + layout.total_chips] * np.exp(-1j * delta_hat)
+    # the decision axis at the correct instants.  Each rail derotates only
+    # the component it decides.
+    rot = complex(np.exp(-1j * delta_hat))
+    xs = x[r0 : r0 + layout.total_chips]
+    i_rail, q_rail = xs[0::2], xs[1::2]
     sliced = np.empty(layout.total_chips, dtype=np.uint8)
-    sliced[0::2] = xs[0::2].real > 0
-    sliced[1::2] = xs[1::2].imag > 0
+    sliced[0::2] = i_rail.real * rot.real - i_rail.imag * rot.imag > 0
+    sliced[1::2] = q_rail.real * rot.imag + q_rail.imag * rot.real > 0
     # Undo the modulator's index-locked sign pattern, then the differential
     # encoding.
-    pattern = np.tile(SIGN_PATTERN_BITS, layout.total_chips // 4 + 1)[: layout.total_chips]
-    encoded = sliced ^ pattern
+    encoded = sliced ^ _sign_pattern_bits(layout.total_chips)
     source = phy_frames.differential_decode(encoded)
     return finish_frame(report, source, phi0 + (r0 - 1) * sps, counter)
+
+
+@functools.cache
+def _sign_pattern_bits(n_chips: int) -> np.ndarray:
+    """SIGN_PATTERN_BITS over chip indices 0..n_chips-1, built once per
+    frame length and shared read-only."""
+    bits = np.tile(SIGN_PATTERN_BITS, n_chips // 4 + 1)[:n_chips]
+    bits.flags.writeable = False
+    return bits

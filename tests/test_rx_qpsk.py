@@ -244,44 +244,113 @@ def test_rb_validation():
         rb_carrier_estimate(np.ones(10), T_SYM)
 
 
+def _compensate_full_buffer(buf, estimate):
+    """Reference form of compensation: rotate every sample of the buffer,
+    z[n] * exp(-j*(2*pi*f_hat*n*T_s + theta_hat)), before filtering.
+
+    The rotation stays an unnamed temporary, so from 16,384 samples numpy
+    multiplies into its memory, as the chain did when it compensated here.
+    """
+    n = np.arange(buf.samples.size)
+    f_hat, theta_hat = estimate.f_d_hat_hz, estimate.theta_hat_rad
+    out = buf.samples * np.exp(-1j * (2.0 * np.pi * f_hat * n * buf.sample_period_s + theta_hat))
+    return IqBuffer(samples=out, sps=buf.sps, chip_rate_hz=buf.chip_rate_hz)
+
+
+def _grid(phase, n_out):
+    """Sample instants of the matched filter's decision grid at `phase`."""
+    return range(phase + SPS, phase + SPS * (n_out + 1), SPS)
+
+
+def _estimate(f_hat, theta_hat=0.0):
+    return CarrierEstimate(f_d_hat_hz=f_hat, theta_hat_rad=theta_hat, n_fft=2048, peak_magnitude=1)
+
+
 def test_compensate_inverts_known_offset():
     rng = np.random.default_rng(7)
     x = _buf(np.exp(1j * rng.uniform(-np.pi, np.pi, 300)))
     impaired = apply(x, ChannelParams(f_d_hz=15e3, theta_rad=-0.8))
-    est = CarrierEstimate(f_d_hat_hz=15e3, theta_hat_rad=-0.8, n_fft=2048, peak_magnitude=0.0)
-    back = compensate(impaired, est)
-    assert np.max(np.abs(back.samples - x.samples)) < 1e-9
+    instants = _grid(3, 36)
+    picked = impaired.samples[list(instants)]
+    back = compensate(picked, _estimate(15e3, -0.8), instants, x.sample_period_s)
+    assert np.max(np.abs(back - x.samples[list(instants)])) < 1e-9
 
 
 def test_compensate_zero_estimate_is_identity():
-    x = _buf(np.exp(0.1j * np.arange(50)))
-    est = CarrierEstimate(f_d_hat_hz=0.0, theta_hat_rad=0.0, n_fft=2048, peak_magnitude=0.0)
-    assert np.array_equal(compensate(x, est).samples, x.samples)
+    x = np.exp(0.1j * np.arange(50))
+    assert np.array_equal(compensate(x, _estimate(0.0), _grid(5, 50), 1 / 16e6), x)
 
 
 @pytest.mark.parametrize("n", [14_856, 16_456])
 @pytest.mark.parametrize("f_hat", [0.0, 50e3, -37.5e3])
 @pytest.mark.parametrize("theta_hat", [0.0, 0.6])
 def test_compensate_matches_reference_bit_for_bit(n, f_hat, theta_hat):
-    # 16,456 samples is past the 16,384 from which numpy multiplies into the
-    # exponential's memory, with a loop that rounds differently.
+    # The decision grid of an n-sample buffer at phase 7: 1,857 and 2,057
+    # samples.
+    instants = range(7 + SPS, n + N_PULSE - 1, SPS)
+    assert len(instants) == {14_856: 1_857, 16_456: 2_057}[n]
     rng = np.random.default_rng(n)
-    x = _buf(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    est = CarrierEstimate(f_d_hat_hz=f_hat, theta_hat_rad=theta_hat, n_fft=2048, peak_magnitude=1)
-    k = np.arange(n)
-    want = x.samples * np.exp(-1j * (2.0 * np.pi * f_hat * k * x.sample_period_s + theta_hat))
-    assert compensate(x, est).samples.tobytes() == want.tobytes()
+    x = rng.standard_normal(len(instants)) + 1j * rng.standard_normal(len(instants))
+    sample_period_s = 1 / (SPS * 2e6)
+    k = np.arange(instants.start, instants.stop, instants.step)
+    want = x * np.exp(-1j * (2.0 * np.pi * f_hat * k * sample_period_s + theta_hat))
+    got = compensate(x, _estimate(f_hat, theta_hat), instants, sample_period_s)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_compensate_residual_grows_linearly():
-    # A frequency error eps leaves a rotation ramping at 2*pi*eps*T_s per sample.
+    # A frequency error eps leaves a rotation ramping at 2*pi*eps*T_s per
+    # sample, so by 2*pi*eps*sps*T_s from one decision to the next.
     x = _buf(np.ones(400))
     eps = 2e3
     impaired = apply(x, ChannelParams(f_d_hz=10e3))
-    est = CarrierEstimate(f_d_hat_hz=10e3 - eps, theta_hat_rad=0.0, n_fft=2048, peak_magnitude=0.0)
-    resid = np.unwrap(np.angle(compensate(impaired, est).samples))
+    instants = _grid(0, 49)
+    picked = impaired.samples[list(instants)]
+    est = _estimate(10e3 - eps)
+    resid = np.unwrap(np.angle(compensate(picked, est, instants, x.sample_period_s)))
     slopes = np.diff(resid)
-    assert np.allclose(slopes, 2 * np.pi * eps * x.sample_period_s, atol=1e-9)
+    assert np.allclose(slopes, 2 * np.pi * eps * SPS * x.sample_period_s, atol=1e-9)
+
+
+def test_matched_filter_untuned_taps_are_the_plain_ones():
+    rng = np.random.default_rng(34)
+    z = _buf(rng.standard_normal(1_000) + 1j * rng.standard_normal(1_000))
+    for phase in (0, 5):
+        plain = matched_filter(z, phase=phase)
+        assert matched_filter(z, phase=phase, f_hz=0.0).tobytes() == plain.tobytes()
+        assert matched_filter(z, phase=phase, f_hz=1e3).tobytes() != plain.tobytes()
+
+
+@pytest.mark.parametrize("n", [14_856, 16_456])
+@pytest.mark.parametrize("f_hat", [0.0, 37.5e3, -37.5e3, 50e3, 124e3, -124e3])
+def test_tuned_filter_then_compensate_equals_rotating_the_buffer(n, f_hat):
+    # Bound set from float64 before measuring, per decision k at instant n_k,
+    # with u = eps/2, X_k = |w| n_k + |theta| and A_k = sum_m |h[m]|
+    # |z[n_k - m]| over the N taps.  Every phase is formed in at most three
+    # roundings, so it is off by at most 3u of its size: the reference
+    # rounds the phases of samples n_k - m, the folded path that of n_k and
+    # of the tap ramp w*m, and a term's two phases part by at most 8u X_k.
+    # exp and the complex products add at most 8u per term on each side,
+    # and the N-term sums at most N u of A_k on each side.  That totals
+    # A_k * eps * (4 X_k + N + 8); doubling it gives
+    #   |folded - reference| <= A_k * eps * (8 X_k + 2 N + 16).
+    rng = np.random.default_rng(n)
+    buf = _buf(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    w = 2.0 * np.pi * f_hat * buf.sample_period_s
+    eps = np.finfo(np.float64).eps
+    mag = np.convolve(np.abs(buf.samples), half_sine_taps(N_PULSE))
+    for theta_hat in (0.0, 0.6):
+        est = _estimate(f_hat, theta_hat)
+        rotated = _compensate_full_buffer(buf, est)
+        for phase in range(SPS):
+            want = matched_filter(rotated, phase=phase)
+            tuned = matched_filter(buf, phase=phase, f_hz=f_hat)
+            instants = _grid(phase, tuned.size)
+            got = compensate(tuned, est, instants, buf.sample_period_s)
+            n_k = np.arange(instants.start, instants.stop, instants.step)
+            tol = mag[n_k] * eps * (8 * (abs(w) * n_k + abs(theta_hat)) + 2 * N_PULSE + 16)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= tol), (phase, theta_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +457,31 @@ def test_qpsk_comb_sync_picks_the_same_lag_and_parity(monkeypatch):
     )
     assert comb == _sync_limited_reports()
     assert any(found for found, _, _ in comb) and not all(found for found, _, _ in comb)
+
+
+def test_decision_rate_compensation_decides_as_rotating_the_buffer(monkeypatch):
+    # Route demodulate through the reference form wherever its carrier gate
+    # opens: rotate the whole buffer, then filter it with the plain taps.
+    folded = _sync_limited_reports()
+    seen = {}
+    reference_calls = []
+
+    def plain_filter(buf, counter=None, phase=None, f_hz=0.0):
+        seen["buf"], seen["phase"] = buf, phase
+        return matched_filter(buf, counter=counter, phase=phase)
+
+    def rotate_the_buffer(x, estimate, instants, sample_period_s):
+        # The chain rotates at the instants of the filter's decision grid.
+        assert instants == _grid(seen["phase"], x.size)
+        reference_calls.append(estimate)
+        return matched_filter(_compensate_full_buffer(seen["buf"], estimate), phase=seen["phase"])
+
+    monkeypatch.setattr(rx_qpsk, "matched_filter", plain_filter)
+    monkeypatch.setattr(rx_qpsk, "compensate", rotate_the_buffer)
+    assert folded == _sync_limited_reports()
+    # The gate opened on some packets, and on offset ones among them.
+    assert 0 < len(reference_calls) < 48
+    assert any(abs(est.f_d_hat_hz) > 1e3 for est in reference_calls)
 
 
 def test_sync_parity_1_wins_only_on_a_strictly_greater_peak(monkeypatch):

@@ -395,7 +395,8 @@ def test_cli_selftest_passes(capsys):
     rc = main(["selftest"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.count("ok") == 3
+    assert out.count("ok") == 4
+    assert "qpsk loopback at 50 kHz offset, 1600-sample lead: ok" in out
 
 
 def test_cli_rejects_zero_settings(tmp_path):
@@ -460,6 +461,29 @@ def test_iq_import_rejects_bad_chip_rate(tmp_path, capsys, rate):
         with pytest.raises(ValueError, match="chip_rate_hz"):
             main(["decode", str(path), "--mode", mode])
     assert capsys.readouterr().out == ""
+
+
+def test_iq_import_checks_sample_rate(tmp_path, capsys):
+    path = tmp_path / "frame.iq"
+    iq_export(modulate(pf.build_frame(np.zeros(200, dtype=np.uint8))), path)
+    meta = tmp_path / "frame.iq.meta"
+    assert "sample_rate_hz = 16000000.0\n" in meta.read_text()
+    for sidecar in (
+        "sample_rate_hz = 1.0\nsps = 8\nchip_rate_hz = 2e6\n",
+        "sample_rate_hz = 8e6\nsps = 8\nchip_rate_hz = 2e6\n",
+        "sample_rate_hz = nan\nsps = 8\nchip_rate_hz = 2e6\n",
+        "sample_rate_hz = fast\nsps = 8\nchip_rate_hz = 2e6\n",
+        "sps = 8\nchip_rate_hz = 2e6\n",
+    ):
+        meta.write_text(sidecar)
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            iq_import(path)
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            main(["decode", str(path), "--mode", "qpsk"])
+    assert capsys.readouterr().out == ""
+    # Any spelling of the right rate is accepted.
+    meta.write_text("sample_rate_hz = 16e6\nsps = 8\nchip_rate_hz = 2e6\n")
+    assert iq_import(path).sample_rate_hz == 16e6
 
 
 def test_module_selftest_runs_without_warnings():

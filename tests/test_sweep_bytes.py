@@ -27,8 +27,8 @@ PINNED = {
         dict(mode="auto", f_d_hz=50e3, tau_samples=1600.0),
         "9572e5fb69cf8d4da916432a42b1d57415083fb998b5b4e4249e7bfc05edab3a",
     ),
-    # Runs compensate on gate-open 16,456-sample buffers, past the 16,384
-    # samples from which numpy multiplies into a temporary in place.
+    # Opens the carrier gate at f_d = 50 kHz on 16,456-sample buffers, so the
+    # tuned matched filter and the decision-rate compensate both run.
     "qpsk-offset": (
         dict(mode="qpsk", f_d_hz=50e3, tau_samples=1600.0),
         "1f0bd6816d85026c6ad9fbdec79750bc699904606725fa759d4a6b4aeea55bd2",
