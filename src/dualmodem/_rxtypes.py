@@ -94,41 +94,21 @@ SYNC_PEAK_MARGIN = 0.05
 SYNC_THRESHOLD = 0.5
 
 
-# The 802.15.4 preamble is eight repeats of the symbol-0 block, in chips
-# (msk) and in encoded QPSK symbols (qpsk) alike.  comb_correlate needs a
-# power of two.
-PREAMBLE_REPEATS = 8
-
-
-def preamble_block(preamble: np.ndarray) -> np.ndarray:
-    """The block `preamble` repeats PREAMBLE_REPEATS times, read-only.
-
-    Raises ValueError when the preamble is not such a repeat, since
-    comb_correlate would then not equal the full correlation.
-    """
-    size, rest = divmod(preamble.size, PREAMBLE_REPEATS)
-    block = preamble[:size].copy()
-    if rest or not np.array_equal(np.tile(block, PREAMBLE_REPEATS), preamble):
-        raise ValueError(f"preamble is not {PREAMBLE_REPEATS} repeats of one block")
-    block.flags.writeable = False
-    return block
-
-
 def comb_correlate(x: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """np.correlate(x, np.tile(block, PREAMBLE_REPEATS), "valid"), computed
-    as the sum of PREAMBLE_REPEATS one-block correlations spaced one block
-    apart: an eighth of the multiply-adds.  x must hold at least one whole
-    preamble.
+    """np.correlate(x, np.tile(block, R), "valid") for the preamble's
+    R = phy_frames.PREAMBLE_REPEATS, computed as the sum of R one-block
+    correlations spaced one block apart: an eighth of the multiply-adds.
+    x must hold at least one whole preamble.
 
     Only the order of the additions differs from the full correlation, so
     the result is bit-exact whenever every partial sum is an exact integer
     (antipodal chips) and within float64 rounding otherwise.
     """
     out = np.correlate(x, block, mode="valid")
-    # Pairwise: sums of 2, then 4, then 8 blocks (PREAMBLE_REPEATS is a
-    # power of two), in three vector adds rather than seven.
+    # Pairwise: sums of 2, then 4, then 8 blocks (R is a power of two), in
+    # three vector adds rather than seven.
     span = block.size
-    while span < PREAMBLE_REPEATS * block.size:
+    while span < phy_frames.PREAMBLE_REPEATS * block.size:
         out = out[:-span] + out[span:]
         span *= 2
     return out

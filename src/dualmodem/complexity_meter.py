@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import phy_frames
 from ._rxtypes import RxConfig
 from .tx_oqpsk import DEFAULT_SPS
 
@@ -34,9 +35,6 @@ STAGE_FRAME_SYNC = "Frame Synchronization"
 STAGE_CHIP_TO_SYMBOL = "Chip to Symbol Mapping"
 STAGE_BIT_DETECT = "Bit Detection"
 STAGE_DIFF_DETECT = "Differential Detection"
-
-MAX_PREAMBLE_SYMBOLS_QPSK = 128
-MAX_PREAMBLE_SYMBOLS_MSK = 256
 
 
 def _is_pow2(n: int) -> bool:
@@ -172,7 +170,7 @@ def fft_op_counts(n_fft: int) -> tuple[int, int]:
 
 def msk_op_counts(p: ComplexityParams) -> OpCountReport:
     """Closed-form budget of the non-coherent chain."""
-    if p.n_preamble > MAX_PREAMBLE_SYMBOLS_MSK:
+    if p.n_preamble > phy_frames.PREAMBLE_CHIPS.size:
         raise ValueError("n_preamble exceeds the preamble length")
     str_stage = StageOps(
         name=STAGE_STR,
@@ -193,7 +191,8 @@ def msk_op_counts(p: ComplexityParams) -> OpCountReport:
 
 def qpsk_op_counts(p: ComplexityParams) -> OpCountReport:
     """Closed-form budget of the coherent chain."""
-    if p.n_preamble > MAX_PREAMBLE_SYMBOLS_QPSK:
+    # A QPSK symbol carries two chips.
+    if p.n_preamble > phy_frames.PREAMBLE_CHIPS.size // 2:
         raise ValueError("n_preamble exceeds the preamble symbol count")
     mf_stage = StageOps(
         name=STAGE_MF_STR,

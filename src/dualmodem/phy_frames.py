@@ -37,6 +37,10 @@ CHIP_TABLE_BITS = (
 CHIPS_PER_SYMBOL = 32
 BITS_PER_SYMBOL = 4
 
+# The preamble is 32 all-zero bits: this many copies of symbol 0.  The
+# framer, both receiver chains and the op-count model read it from here.
+PREAMBLE_REPEATS = 8
+
 # 16 x 32 uint8 array, CHIP_TABLE[s, k] = chip k of symbol s.
 CHIP_TABLE = np.array(
     [[int(c) for c in row] for row in CHIP_TABLE_BITS], dtype=np.uint8
@@ -53,7 +57,7 @@ class FrameLayout:
     """Chip-level frame geometry: preamble followed by a spread payload."""
 
     payload_bits: int
-    preamble_chips = 8 * CHIPS_PER_SYMBOL  # 32 all-zero bits
+    preamble_chips = PREAMBLE_REPEATS * CHIPS_PER_SYMBOL
 
     def __post_init__(self):
         if self.payload_bits <= 0 or self.payload_bits % BITS_PER_SYMBOL:
@@ -156,28 +160,17 @@ def despread_stream(chips, counter=None) -> tuple[np.ndarray, np.ndarray]:
     return symbols, distances[np.arange(n_blocks), symbols].astype(np.uint)
 
 
-def differential_encode(chips) -> np.ndarray:
-    """Chip-level differential encoding: out[k] = chips[k] XOR out[k-1].
-
-    out[-1] is the encoder seed, 0.
-    """
-    chips = as_bits(chips, "chips")
-    # XOR prefix scan: out[k] = chips[0] ^ ... ^ chips[k]
-    return np.bitwise_xor.accumulate(chips)
-
-
 def differential_decode(chips) -> np.ndarray:
-    """Inverse of differential_encode: out[k] = chips[k] XOR chips[k-1]."""
+    """Undo the differential encoding from seed 0: out[k] = chips[k] XOR chips[k-1]."""
     chips = as_bits(chips, "chips")
     out = chips.copy()
     out[1:] ^= chips[:-1]
     return out
 
 
-# The 256-chip preamble (32 all-zero bits: eight repeats of chip table
-# row 0), built once and shared read-only by the framer and both receiver
-# chains.
-PREAMBLE_CHIPS = np.tile(CHIP_TABLE[0], 8)
+# The 256-chip preamble, built once and shared read-only by the framer and
+# both receiver chains.
+PREAMBLE_CHIPS = np.tile(CHIP_TABLE[0], PREAMBLE_REPEATS)
 PREAMBLE_CHIPS.flags.writeable = False
 
 
@@ -196,9 +189,9 @@ def encoded_rows(table: np.ndarray) -> np.ndarray:
     return encoded
 
 
-# ENCODED_TABLE[s] = differential_encode(CHIP_TABLE[s]).
+# ENCODED_TABLE[s] = CHIP_TABLE[s] differentially encoded.
 ENCODED_TABLE = encoded_rows(CHIP_TABLE)
-_PREAMBLE_SYMBOLS = np.zeros(PREAMBLE_CHIPS.size // CHIPS_PER_SYMBOL, dtype=np.int64)
+_PREAMBLE_SYMBOLS = np.zeros(PREAMBLE_REPEATS, dtype=np.int64)
 
 
 def build_frame(payload_bits) -> np.ndarray:

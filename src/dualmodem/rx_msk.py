@@ -24,7 +24,6 @@ from ._rxtypes import (
     earliest_peak,
     finish_frame,
     msk_timing,
-    preamble_block,
 )
 from .tx_oqpsk import IqBuffer
 
@@ -34,8 +33,9 @@ DIFF_DETECT_EPS = 1e-12
 ANTIPODAL = np.array([-1.0, 1.0])
 ANTIPODAL.flags.writeable = False
 
-# Antipodal preamble block: 32 chips of symbol 0, repeated 8 times.
-PREAMBLE_BLOCK = preamble_block(ANTIPODAL[phy_frames.PREAMBLE_CHIPS])
+# The antipodal chips of symbol 0, the block the preamble repeats.
+PREAMBLE_BLOCK = ANTIPODAL[phy_frames.CHIP_TABLE[0]]
+PREAMBLE_BLOCK.flags.writeable = False
 
 
 def diff_detect(buf: IqBuffer, tau: int, counter=None) -> np.ndarray:

@@ -28,7 +28,6 @@ rotation-free use.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +42,8 @@ from ._rxtypes import (
     earliest_peak,
     finish_frame,
     msk_timing,
-    preamble_block,
 )
-from .tx_oqpsk import (
-    SIGN_PATTERN_BITS,
-    IqBuffer,
-    chip_amplitudes,
-    half_sine_taps,
-)
+from .tx_oqpsk import IqBuffer, chip_amplitudes, half_sine_taps
 
 RB_POWER = 4  # modulation-stripping exponent for QPSK constellations
 
@@ -261,24 +254,18 @@ def compensate(
     return x * np.exp(-1j * n)
 
 
-def preamble_reference_symbols() -> np.ndarray:
-    """The 128 complex QPSK symbols of the encoded, sign-adjusted preamble."""
-    enc = phy_frames.differential_encode(phy_frames.PREAMBLE_CHIPS)
-    amps = chip_amplitudes(enc)
-    return amps[0::2] + 1j * amps[1::2]
-
-
-# The preamble correlator's reference, built once and shared read-only.
-PREAMBLE_REFERENCE = preamble_reference_symbols()
-PREAMBLE_REFERENCE.flags.writeable = False
-# Its 16-symbol block, repeated 8 times.
-PREAMBLE_BLOCK = preamble_block(PREAMBLE_REFERENCE)
-_REFERENCE_ENERGY = float(np.sum(np.abs(PREAMBLE_REFERENCE) ** 2))
+# The block the preamble repeats, as QPSK symbols: symbol 0's encoded,
+# sign-adjusted chips, paired by the complex view into I + jQ.  The sign
+# pattern has period 4 and the block 32 chips, so every copy is the same.
+PREAMBLE_BLOCK = chip_amplitudes(phy_frames.ENCODED_TABLE[0]).view(np.complex128)
+PREAMBLE_BLOCK.flags.writeable = False
+_REFERENCE_SIZE = phy_frames.PREAMBLE_REPEATS * PREAMBLE_BLOCK.size
+_REFERENCE_ENERGY = phy_frames.PREAMBLE_REPEATS * float(np.sum(np.abs(PREAMBLE_BLOCK) ** 2))
 
 
 def _preamble_peak(symbols, counter=None):
-    """Best normalized complex correlation with PREAMBLE_REFERENCE:
-    (peak, lag, phase_at_peak).
+    """Best normalized complex correlation with the preamble, PREAMBLE_BLOCK
+    repeated: (peak, lag, phase_at_peak).
 
     The peak is the magnitude of the sliding complex correlation, which is
     invariant to the fourfold phase ambiguity left by the power-of-four
@@ -287,7 +274,7 @@ def _preamble_peak(symbols, counter=None):
     equal to the 128-symbol one up to float64 rounding.
     """
     u = np.asarray(symbols, dtype=np.complex128)
-    n_ref = PREAMBLE_REFERENCE.size
+    n_ref = _REFERENCE_SIZE
     if u.size < n_ref:
         return 0.0, 0, 0.0
     corr = comb_correlate(u, PREAMBLE_BLOCK)
@@ -371,17 +358,11 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     sliced = np.empty(layout.total_chips, dtype=np.uint8)
     sliced[0::2] = i_rail.real * rot.real - i_rail.imag * rot.imag > 0
     sliced[1::2] = q_rail.real * rot.imag + q_rail.imag * rot.real > 0
-    # Undo the modulator's index-locked sign pattern, then the differential
-    # encoding.
-    encoded = sliced ^ _sign_pattern_bits(layout.total_chips)
-    source = phy_frames.differential_decode(encoded)
+    # Undo the differential encoding and the modulator's sign pattern
+    # P = 0110.  P[k] ^ P[k-1] = k mod 2, so undoing P before the decode is
+    # flipping every odd chip after it: O-QPSK read as MSK, whose ramp at
+    # chip k is the source chip.
+    source = phy_frames.differential_decode(sliced)
+    source[1::2] ^= 1
     return finish_frame(report, source, phi0 + (r0 - 1) * sps, counter)
 
-
-@functools.cache
-def _sign_pattern_bits(n_chips: int) -> np.ndarray:
-    """SIGN_PATTERN_BITS over chip indices 0..n_chips-1, built once per
-    frame length and shared read-only."""
-    bits = np.tile(SIGN_PATTERN_BITS, n_chips // 4 + 1)[:n_chips]
-    bits.flags.writeable = False
-    return bits

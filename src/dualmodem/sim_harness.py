@@ -13,7 +13,10 @@ CSV.  Per-point statistics are accumulated as integers and divided once.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
+import numbers
+import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -74,6 +77,10 @@ class SweepConfig:
         if self.snr_stop_db < self.snr_start_db:
             raise ValueError("snr_stop_db must not lie below snr_start_db")
         check_sps(self.sps)
+        for name in ("packets_per_point", "payload_bits", "n_fft", "master_seed",
+                     "match_threshold"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.packets_per_point < 1:
             raise ValueError("packets_per_point must be at least 1")
         if self.mode not in _MODES:
@@ -230,43 +237,24 @@ def _sweep_point(cfg: SweepConfig, snr_index: int) -> SweepPoint:
     return _aggregate_point(cfg, snr_db, records)
 
 
-# One packet allocates under eight full-length complex128 buffers' worth: the
-# modulated burst, the channel output with its phase ramp and noise, and
-# the matched filter's padded input.  Twice that leaves room for heap
-# fragmentation.  The released block sets glibc's thresholds, so the value
-# stays at 16 now that the qpsk chain no longer makes a compensated copy.
-_BUFFERS_PER_PACKET = 16
-# glibc raises its thresholds only for blocks up to 32 MiB (64-bit).
-_MAX_RELEASE_BYTES = 31 * 2**20
-# Size of the largest block _hold_freed_pages has released in this process.
-_released_bytes = 0
-
-
-def _hold_freed_pages(nbytes: int) -> None:
+def _hold_freed_pages() -> None:
     """Keep freed packet buffers mapped for the rest of the process.
 
     glibc serves blocks above M_MMAP_THRESHOLD (128 KiB at start) with
     mmap, and trims the heap top once it passes M_TRIM_THRESHOLD, so every
-    full-length packet buffer goes back to the kernel when freed and faults
-    its pages in again in the next packet.  Releasing one mmapped block
-    raises M_MMAP_THRESHOLD to its size and M_TRIM_THRESHOLD to twice that
-    (mallopt(3)); a block at least as large as everything one packet
-    allocates then keeps each packet's buffers on the heap, where the next
-    packet reuses the pages.  The block is never written, so it costs no
-    page faults.  Elsewhere than glibc the allocation is harmless.
+    full-length packet buffer would go back to the kernel when freed and
+    fault its pages in again in the next packet.  Setting the mmap
+    threshold to glibc's 64-bit maximum, 32 MiB, and the trim threshold to
+    twice that keeps each packet's buffers on the heap, where the next
+    packet reuses the pages.  Elsewhere than glibc this does nothing.
     """
-    global _released_bytes
-    nbytes = min(nbytes, _MAX_RELEASE_BYTES)
-    if nbytes > _released_bytes:
-        block = np.empty(nbytes, dtype=np.uint8)
-        del block
-        _released_bytes = nbytes
-
-
-def _packet_buffer_bytes(cfg: SweepConfig) -> int:
-    layout = phy_frames.FrameLayout(payload_bits=cfg.payload_bits)
-    samples = (layout.total_chips + 1) * cfg.sps + int(cfg.tau_samples)
-    return _BUFFERS_PER_PACKET * samples * np.dtype(np.complex128).itemsize
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD
 
 
 def ber_sweep(cfg: SweepConfig, workers: int = 0) -> SweepResult:
@@ -274,14 +262,11 @@ def ber_sweep(cfg: SweepConfig, workers: int = 0) -> SweepResult:
     the points in that many processes."""
     if workers < 0:
         raise ValueError("workers must be non-negative")
-    buffer_bytes = _packet_buffer_bytes(cfg)
-    _hold_freed_pages(buffer_bytes)
+    _hold_freed_pages()
     indices = range(cfg.snr_grid().size)
     if workers > 1:
         # One pool for the whole sweep; map keeps point order.
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_hold_freed_pages, initargs=(buffer_bytes,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_hold_freed_pages) as pool:
             points = tuple(pool.map(_sweep_point, itertools.repeat(cfg), indices))
     else:
         points = tuple(_sweep_point(cfg, i) for i in indices)
@@ -319,30 +304,35 @@ def iq_export(buf: IqBuffer, path) -> None:
 
 def iq_import(path) -> IqBuffer:
     """Inverse of iq_export; refuses empty or odd-length float payloads and
-    a sidecar whose sample_rate_hz is not sps x chip_rate_hz."""
+    a sidecar value that is missing, malformed or out of range, or whose
+    sample_rate_hz is not sps x chip_rate_hz, naming the sidecar and key."""
     path = str(path)
     raw = np.fromfile(path, dtype="<f4")
     if raw.size == 0:
         raise ValueError(f"{path}: empty IQ file")
     if raw.size % 2:
         raise ValueError(f"{path}: truncated IQ pair")
-    meta = parse_config(path + ".meta")
+    meta_path = path + ".meta"
+    meta = parse_config(meta_path)
+
+    def read(key, conv):
+        if key not in meta:
+            raise ValueError(f"{meta_path}: missing key {key!r}")
+        try:
+            return conv(meta[key])
+        except ValueError as exc:
+            raise ValueError(f"{meta_path}: {key} = {meta[key]}: {exc}") from exc
+
     samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
+    sps, chip_rate_hz = read("sps", int), read("chip_rate_hz", float)
     try:
-        buf = IqBuffer(
-            samples=samples, sps=int(meta["sps"]), chip_rate_hz=float(meta["chip_rate_hz"])
-        )
-        rate = meta["sample_rate_hz"]
-    except KeyError as exc:
-        raise ValueError(f"{path}.meta: missing key {exc}") from exc
+        buf = IqBuffer(samples=samples, sps=sps, chip_rate_hz=chip_rate_hz)
+    except ValueError as exc:  # its message names the key
+        raise ValueError(f"{meta_path}: {exc}") from exc
     # iq_export writes the rate with repr, so its own sidecars match exactly.
-    try:
-        consistent = float(rate) == buf.sample_rate_hz
-    except ValueError:
-        consistent = False
-    if not consistent:
+    if read("sample_rate_hz", float) != buf.sample_rate_hz:
         raise ValueError(
-            f"{path}.meta: sample_rate_hz = {rate} is not"
+            f"{meta_path}: sample_rate_hz = {meta['sample_rate_hz']} is not"
             f" sps x chip_rate_hz = {buf.sample_rate_hz!r}"
         )
     return buf

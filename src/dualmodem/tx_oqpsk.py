@@ -23,6 +23,7 @@ symbol boundary, and phy_frames.build_frame gathers pre-encoded rows.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ SIGN_PATTERN_BITS = np.array([int(s < 0) for s in SIGN_PATTERN_PERIOD4.tolist()]
 
 def check_sps(sps: int) -> None:
     """Raise ValueError unless sps (samples per chip) is an even integer >= 2."""
-    if sps < 2 or sps % 2:
+    if not isinstance(sps, numbers.Integral) or sps < 2 or sps % 2:
         raise ValueError("sps must be an even integer >= 2")
 
 

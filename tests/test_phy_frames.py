@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dualmodem import phy_frames as pf
 
-from frame_reference import frame_source_chips, spread_symbols
+from frame_reference import differential_encode, frame_source_chips, spread_symbols
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_despread_rejects_values_other_than_0_and_1(fn):
 
 def test_differential_encode_definition():
     chips = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-    enc = pf.differential_encode(chips)
+    enc = differential_encode(chips)
     assert enc.dtype == np.uint8
     prev = 0  # the encoder seed
     for k, c in enumerate(chips):
@@ -228,13 +228,13 @@ def test_differential_encode_definition():
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=100))
 @settings(max_examples=40, deadline=None)
 def test_differential_round_trip(chips):
-    enc = pf.differential_encode(chips)
+    enc = differential_encode(chips)
     dec = pf.differential_decode(enc)
     assert dec.dtype == np.uint8
     assert np.array_equal(dec, chips)
 
 
-@pytest.mark.parametrize("fn", [pf.differential_encode, pf.differential_decode])
+@pytest.mark.parametrize("fn", [differential_encode, pf.differential_decode])
 def test_differential_coding_rejects_non_binary_chips(fn):
     # A cast to uint8 would code [0.7, 2, 1] as the non-binary [0, 2, 3].
     for chips in ([0.7, 2, 1], [0, 2, 1], np.array([0, 2, 1], dtype=np.uint8), [np.nan, 0]):
@@ -285,12 +285,12 @@ def test_build_frame_equals_one_encoder_run(bits):
     payload = np.array(bits, dtype=np.uint8)
     frame = pf.build_frame(payload)
     assert frame.dtype == np.uint8
-    assert np.array_equal(frame, pf.differential_encode(frame_source_chips(payload)))
+    assert np.array_equal(frame, differential_encode(frame_source_chips(payload)))
 
 
 def test_encoded_table_rows_and_parity_guard():
     for s in range(16):
-        assert np.array_equal(pf.ENCODED_TABLE[s], pf.differential_encode(pf.CHIP_TABLE[s]))
+        assert np.array_equal(pf.ENCODED_TABLE[s], differential_encode(pf.CHIP_TABLE[s]))
     with pytest.raises(ValueError):
         pf.ENCODED_TABLE[0, 0] ^= 1
     odd = pf.CHIP_TABLE.copy()
@@ -305,7 +305,7 @@ def test_build_frame_is_encoded_source_stream():
     frame = pf.build_frame(payload)
     assert frame.dtype == np.uint8 and frame.shape == (256 + 8 * payload.size,)
     source = frame_source_chips(payload)
-    assert np.array_equal(frame, pf.differential_encode(source))
+    assert np.array_equal(frame, differential_encode(source))
     assert np.array_equal(source[:256], pf.PREAMBLE_CHIPS)
     assert np.array_equal(
         source[256:], spread_symbols(pf.bits_to_symbols(payload))

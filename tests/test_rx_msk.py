@@ -269,6 +269,12 @@ def _frame_sync_msk_reference(chips):
     return bool(peak >= SYNC_THRESHOLD), lag, corr
 
 
+def test_preamble_block_tiles_to_the_antipodal_preamble_bit_for_bit():
+    tiled = np.tile(PREAMBLE_BLOCK, pf.PREAMBLE_REPEATS)
+    assert tiled.tobytes() == (2.0 * pf.PREAMBLE_CHIPS - 1.0).tobytes()
+    assert PREAMBLE_BLOCK.size == 32 and not PREAMBLE_BLOCK.flags.writeable
+
+
 def test_frame_sync_msk_comb_is_bit_exact():
     rng = np.random.default_rng(21)
     for trial in range(60):

@@ -13,13 +13,11 @@ from dualmodem._rxtypes import (
     RxConfig,
     comb_correlate,
     earliest_peak,
-    preamble_block,
 )
 from dualmodem.channel_model import ChannelParams, apply
 from dualmodem.complexity_meter import RuntimeCounters
 from dualmodem.rx_qpsk import (
     PREAMBLE_BLOCK,
-    PREAMBLE_REFERENCE,
     RB_CONFIDENCE_MIN,
     CarrierEstimate,
     _median,
@@ -28,10 +26,11 @@ from dualmodem.rx_qpsk import (
     demodulate,
     elg_timing,
     matched_filter,
-    preamble_reference_symbols,
     rb_carrier_estimate,
 )
-from dualmodem.tx_oqpsk import IqBuffer, half_sine_taps, modulate
+from dualmodem.tx_oqpsk import SIGN_PATTERN_BITS, IqBuffer, half_sine_taps, modulate
+
+from frame_reference import preamble_reference_symbols
 
 SPS = 8
 N_PULSE = 2 * SPS
@@ -366,27 +365,50 @@ def test_rx_config_validation():
             RxConfig(**kwargs)
 
 
+# The 128-symbol preamble the correlator matches, in its plain form.
+PREAMBLE_REFERENCE = preamble_reference_symbols()
+
+
 def test_preamble_reference_shape_and_alphabet():
-    ref = preamble_reference_symbols()
+    ref = np.tile(PREAMBLE_BLOCK, pf.PREAMBLE_REPEATS)
     assert ref.size == 128
     assert np.allclose(np.abs(ref), np.sqrt(2.0))
     assert np.isin(ref.real, (-1.0, 1.0)).all() and np.isin(ref.imag, (-1.0, 1.0)).all()
 
 
 def test_preamble_reference_is_shared_read_only():
-    assert np.array_equal(PREAMBLE_REFERENCE, preamble_reference_symbols())
     with pytest.raises(ValueError):
-        PREAMBLE_REFERENCE[0] = 0.0
+        PREAMBLE_BLOCK[0] = 0.0
 
 
 def test_preamble_block_requires_eight_repeats():
     assert np.array_equal(np.tile(PREAMBLE_BLOCK, 8), PREAMBLE_REFERENCE)
     assert PREAMBLE_BLOCK.size == 16 and not PREAMBLE_BLOCK.flags.writeable
-    bad = PREAMBLE_REFERENCE.copy()
-    bad[-1] = -bad[-1]
-    for preamble in (bad, PREAMBLE_REFERENCE[:-1], PREAMBLE_REFERENCE[:120]):
-        with pytest.raises(ValueError, match="repeats"):
-            preamble_block(preamble)
+
+
+def test_preamble_block_tiles_to_the_encoded_preamble_bit_for_bit():
+    # The block comes from one encoded table row; tiled, it must be the
+    # symbols of the whole encoded, sign-adjusted 256-chip preamble, and
+    # the correlator's length and energy those of the whole reference.
+    tiled = np.tile(PREAMBLE_BLOCK, pf.PREAMBLE_REPEATS)
+    assert tiled.tobytes() == PREAMBLE_REFERENCE.tobytes()
+    assert rx_qpsk._REFERENCE_SIZE == PREAMBLE_REFERENCE.size
+    assert rx_qpsk._REFERENCE_ENERGY == float(np.sum(np.abs(PREAMBLE_REFERENCE) ** 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 32, 256, 1856, 1857])
+def test_odd_chip_flip_undoes_the_sign_pattern(n):
+    # O-QPSK read as MSK: the sign pattern P = 0110 has P[k] ^ P[k-1] =
+    # k mod 2, so XORing P before the differential decode equals flipping
+    # every odd chip after it, as demodulate does.
+    rng = np.random.default_rng(n)
+    for sliced in (rng.integers(0, 2, n).astype(np.uint8), np.zeros(n, np.uint8),
+                   np.ones(n, np.uint8)):
+        pattern = np.tile(SIGN_PATTERN_BITS, n // 4 + 1)[:n]
+        want = pf.differential_decode(sliced ^ pattern)
+        got = pf.differential_decode(sliced)
+        got[1::2] ^= 1
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _preamble_peak_reference(symbols):

@@ -1,7 +1,9 @@
 """Tests for the batch simulation driver and CLI."""
 
+import hashlib
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -44,6 +46,19 @@ def _tiny_cfg(**kw):
 # ---------------------------------------------------------------------------
 # Config
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("sps", 8.0), ("packets_per_point", 2.5), ("payload_bits", 200.0), ("n_fft", 2048.0),
+     ("master_seed", 1.5), ("match_threshold", 2.5)],
+)
+def test_sweep_config_rejects_non_integer_counts(field, value):
+    # A float that passes the range checks used to fail later in the sweep
+    # with a TypeError.
+    with pytest.raises(ValueError, match=field):
+        SweepConfig(**{field: value})
+    SweepConfig(**{field: np.int64(int(value))})  # numpy integers count as integers
 
 
 def test_snr_grid_is_inclusive():
@@ -391,6 +406,22 @@ def test_cli_complexity_prints_tables(capsys):
     assert "msk demodulator" in out and "qpsk demodulator" in out
 
 
+# sha256 of `dualmodem complexity` stdout, recorded before the preamble
+# length moved into phy_frames.PREAMBLE_REPEATS.
+_COMPLEXITY_SHA256 = {
+    (): "7f77de5ec8c3c84f057a60af42742a4f25d625afcead440ca4cb3f108b0ccdf4",
+    ("--sps", "4", "--payload-bits", "40", "--nfft", "256"):
+        "ddcde60ad150b8a4196e586011ebad320e0e6f1f4d923a6d27cbc585cd621df6",
+}
+
+
+@pytest.mark.parametrize("flags", list(_COMPLEXITY_SHA256), ids=["defaults", "sps4-bits40-nfft256"])
+def test_cli_complexity_output_is_pinned(flags, capsys):
+    assert main(["complexity", *flags]) == 0
+    out = capsys.readouterr().out.encode("ascii")
+    assert hashlib.sha256(out).hexdigest() == _COMPLEXITY_SHA256[flags]
+
+
 def test_cli_selftest_passes(capsys):
     rc = main(["selftest"])
     out = capsys.readouterr().out
@@ -461,6 +492,31 @@ def test_iq_import_rejects_bad_chip_rate(tmp_path, capsys, rate):
         with pytest.raises(ValueError, match="chip_rate_hz"):
             main(["decode", str(path), "--mode", mode])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "sidecar, key",
+    [
+        ("sps = eight\nchip_rate_hz = 2e6\n", "sps"),
+        ("sps = 8.5\nchip_rate_hz = 2e6\n", "sps"),
+        ("sps = 7\nchip_rate_hz = 2e6\n", "sps"),
+        ("sps = 0\nchip_rate_hz = 2e6\n", "sps"),
+        ("sps = 8\nchip_rate_hz = -2e6\n", "chip_rate_hz"),
+        ("sps = 8\nchip_rate_hz = abc\n", "chip_rate_hz"),
+        ("sps = 8\n", "chip_rate_hz"),
+        ("sps = 8\nchip_rate_hz = 2e6\nsample_rate_hz = fast\n", "sample_rate_hz"),
+    ],
+    ids=["sps-word", "sps-fraction", "sps-odd", "sps-zero", "chip-rate-negative",
+         "chip-rate-word", "chip-rate-missing", "sample-rate-word"],
+)
+def test_iq_import_names_the_sidecar_and_key_of_a_bad_value(tmp_path, sidecar, key):
+    path = tmp_path / "frame.iq"
+    iq_export(modulate(pf.build_frame(np.zeros(200, dtype=np.uint8))), path)
+    (tmp_path / "frame.iq.meta").write_text(sidecar)
+    with pytest.raises(ValueError) as info:
+        iq_import(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}.meta: ") and re.search(rf"\b{key}\b", message), message
 
 
 def test_iq_import_checks_sample_rate(tmp_path, capsys):
