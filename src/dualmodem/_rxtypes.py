@@ -1,5 +1,6 @@
 """Records, the symbol timing stage, the preamble peak pick and the frame
-tail shared by the two receiver chains."""
+tail shared by the two receiver chains.  The tail also counts the preamble
+matches that serve as the SNR indicator of each decoded frame."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ from typing import Any
 import numpy as np
 
 from . import phy_frames
-from .mode_controller import preamble_match_count
 from .tx_oqpsk import IqBuffer
 
 
@@ -135,13 +135,18 @@ def earliest_peak(metric: np.ndarray) -> tuple[float, int]:
 def finish_frame(report: DemodReport, source_chips, frame_start: int, counter=None) -> DemodReport:
     """Fill in a found frame from its source (pre-encoding) chip stream.
 
-    Counts the preamble chips that match the known preamble, despreads the
-    payload chips that follow it, and records where the frame starts.
+    Counts the preamble chips that match the known preamble (the SNR
+    indicator: 256 minus the Hamming distance), despreads the payload chips
+    that follow it, and records where the frame starts.
     """
-    n = phy_frames.PREAMBLE_CHIPS.size
+    chips = phy_frames.as_bits(source_chips, "chips")
+    preamble = phy_frames.PREAMBLE_CHIPS
+    n = preamble.size
     report.frame_found = True
     report.frame_start = frame_start
-    report.preamble_match_count = preamble_match_count(source_chips[:n], phy_frames.PREAMBLE_CHIPS)
-    symbols, _ = phy_frames.despread_stream(source_chips[n:], counter)
+    report.preamble_match_count = n - int(np.count_nonzero(chips[:n] ^ preamble))
+    symbols, _ = phy_frames.despread_stream(chips[n:])
+    if counter is not None:
+        counter.tally_despread(symbols.size)
     report.payload_bits = phy_frames.symbols_to_bits(symbols)
     return report

@@ -4,7 +4,9 @@ Two layers live here.  The closed forms (msk_op_counts, qpsk_op_counts) price
 each pipeline stage from its parameters, using the canonical radix-2
 transform cost for the FFT stage regardless of how the runtime computes its
 spectra.  RuntimeCounters optionally rides along an instrumented run and
-tallies what the stages actually did, for cross-checking the closed forms.
+tallies what the stages actually did, for cross-checking the closed forms:
+each demodulator books the stages it ran, right after calling them, and
+the stages themselves never see it.
 
 Counting conventions worth knowing:
 
@@ -237,7 +239,10 @@ _RUNTIME_STAGES = (
 class RuntimeCounters:
     """Arithmetic tallies accumulated by an instrumented receiver run.
 
-    Frame-sync and chip-to-symbol tallies reproduce the closed forms exactly
+    The chains book them: rx_qpsk.demodulate and rx_msk.demodulate each
+    call a tally method after every stage they ran, at the sizes they
+    called it with, and their shared tail _rxtypes.finish_frame books the
+    despreading.  Frame-sync and chip-to-symbol tallies reproduce the closed forms exactly
     (same conventions).  Matched filter and differential detection are
     booked per output the receivers actually form, one per chip decision,
     at the canonical cost of each output.  The FFT tally is an effort

@@ -1,7 +1,8 @@
 """SNR-driven switching between the coherent and non-coherent chains.
 
 The preamble match count of each decoded frame (256 minus the Hamming
-distance to the known preamble) acts as the link-quality indicator.  A run of
+distance to the known preamble), which the receivers' shared frame tail
+computes (_rxtypes.finish_frame), acts as the link-quality indicator.  A run of
 good verdicts promotes the receiver to the cheap MSK chain; a single poor
 verdict (or a missed frame) demotes it back to the robust QPSK chain.  Mode
 changes happen only between packets.
@@ -11,25 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .phy_frames import as_bits
-
 DEFAULT_MATCH_THRESHOLD = 240
 K_UP = 3
 K_DOWN = 1
 
 MODE_QPSK = "qpsk"
 MODE_MSK = "msk"
-
-
-def preamble_match_count(received_chips, reference) -> int:
-    """Number of agreeing chips between a received and a reference preamble."""
-    received_chips = as_bits(received_chips, "chips")
-    reference = as_bits(reference, "reference chips")
-    if received_chips.shape != reference.shape:
-        raise ValueError("preamble lengths differ")
-    return int(reference.size - np.count_nonzero(received_chips ^ reference))
 
 
 @dataclass(frozen=True)

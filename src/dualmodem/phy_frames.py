@@ -138,7 +138,7 @@ def despread_chips(chips) -> tuple[int, int]:
     return int(symbols[0]), int(distances[0])
 
 
-def despread_stream(chips, counter=None) -> tuple[np.ndarray, np.ndarray]:
+def despread_stream(chips) -> tuple[np.ndarray, np.ndarray]:
     """Despread a chip stream (length divisible by 32) symbol by symbol."""
     chips = as_bits(chips, "chips")
     if chips.size % CHIPS_PER_SYMBOL:
@@ -154,8 +154,6 @@ def despread_stream(chips, counter=None) -> tuple[np.ndarray, np.ndarray]:
     distances = (counts * 0x01010101) >> 24
     symbols = distances.argmin(axis=1)
     n_blocks = words.shape[0]
-    if counter is not None:
-        counter.tally_despread(n_blocks)
     # Distances come back in np.uint, numpy's dtype for sums of uint8.
     return symbols, distances[np.arange(n_blocks), symbols].astype(np.uint)
 

@@ -38,7 +38,7 @@ PREAMBLE_BLOCK = ANTIPODAL[phy_frames.CHIP_TABLE[0]]
 PREAMBLE_BLOCK.flags.writeable = False
 
 
-def diff_detect(buf: IqBuffer, tau: int, counter=None) -> np.ndarray:
+def diff_detect(buf: IqBuffer, tau: int) -> np.ndarray:
     """The phase-difference detector at the chip instants n = tau + k*sps:
     y[k] = Im(z[n] * conj(z[n - sps])) / (|z[n]| * |z[n - sps]| + DIFF_DETECT_EPS).
 
@@ -58,12 +58,10 @@ def diff_detect(buf: IqBuffer, tau: int, counter=None) -> np.ndarray:
     mag = np.abs(z)
     norm = mag[1:] * mag[:-1] + DIFF_DETECT_EPS
     y[1:] = prod.imag / norm
-    if counter is not None:
-        counter.tally_diff_detect(z.size - 1)
     return y
 
 
-def detect_chips(y: np.ndarray, counter=None) -> np.ndarray:
+def detect_chips(y: np.ndarray) -> np.ndarray:
     """Hard chip decisions on diff_detect's output: a positive phase ramp
     means chip 1, and exact zeros (e.g. dead air) decide 0.
 
@@ -71,15 +69,13 @@ def detect_chips(y: np.ndarray, counter=None) -> np.ndarray:
     it keeps the whole frame on the decision grid when the timing phase
     lands one sample early (tau_hat = truth - 1 mod sps shifts the chip
     stream forward by one; without that chip the frame would overrun the
-    buffer tail and be dropped).  Only the other y.size - 1 chips are
-    booked as decisions.
+    buffer tail and be dropped), which is why demodulate books only the
+    other y.size - 1 chips as decisions.
     """
-    if counter is not None:
-        counter.tally_bit_decisions(y.size - 1)
     return (y > 0).astype(np.uint8)
 
 
-def frame_sync_msk(chips, counter=None) -> tuple[bool, int]:
+def frame_sync_msk(chips) -> tuple[bool, int]:
     """Locate the preamble in a hard chip stream.
 
     Slides a 256-chip antipodal correlation; the peak, normalized by the
@@ -93,8 +89,6 @@ def frame_sync_msk(chips, counter=None) -> tuple[bool, int]:
         return False, 0
     corr = comb_correlate(ANTIPODAL[chips], PREAMBLE_BLOCK)
     corr /= n_ref
-    if counter is not None:
-        counter.tally_correlation_search(n_ref, corr.size)
     peak, best = earliest_peak(corr)
     return bool(peak >= SYNC_THRESHOLD), best
 
@@ -111,8 +105,15 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
         return report
     stat = msk_timing(buf)
     report.timing = stat
-    chips = detect_chips(diff_detect(buf, stat.tau_hat, counter=counter), counter=counter)
-    found, c0 = frame_sync_msk(chips, counter=counter)
+    chips = detect_chips(diff_detect(buf, stat.tau_hat))
+    found, c0 = frame_sync_msk(chips)
+    if counter is not None:
+        # Lag products and decisions at every chip instant but the first.
+        counter.tally_diff_detect(chips.size - 1)
+        counter.tally_bit_decisions(chips.size - 1)
+        n_ref = phy_frames.PREAMBLE_CHIPS.size
+        if chips.size >= n_ref:
+            counter.tally_correlation_search(n_ref, chips.size - n_ref + 1)
     if not found or c0 + layout.total_chips > chips.size:
         return report
     frame = chips[c0 : c0 + layout.total_chips]

@@ -79,7 +79,7 @@ class TimingEstimate:
     iterations_used: int
 
 
-def matched_filter(buf: IqBuffer, counter=None, phase: int | None = None, f_hz: float = 0.0):
+def matched_filter(buf: IqBuffer, phase: int | None = None, f_hz: float = 0.0):
     """Convolve with the half-sine chip pulse (full overlap, len + N - 1 out).
 
     For a pulse starting at input index s the filtered peak lands at output
@@ -123,8 +123,6 @@ def matched_filter(buf: IqBuffer, counter=None, phase: int | None = None, f_hz: 
         out = np.einsum("kp,p->k", rows[:-1], rev[:sps]) + np.einsum(
             "kp,p->k", rows[1:], rev[sps:]
         )
-    if counter is not None:
-        counter.tally_matched_filter(out.size, taps.size)
     if phase is not None:
         return out
     return IqBuffer(samples=out, sps=sps, chip_rate_hz=buf.chip_rate_hz)
@@ -185,9 +183,7 @@ def elg_timing(
     )
 
 
-def rb_carrier_estimate(
-    symbols, t_sym_s: float, n_fft: int = RxConfig.n_fft, counter=None
-) -> CarrierEstimate:
+def rb_carrier_estimate(symbols, t_sym_s: float, n_fft: int = RxConfig.n_fft) -> CarrierEstimate:
     """Frequency/phase estimate from the power-of-four spectrum.
 
     Raises the symbol-spaced samples to the 4th power to strip the QPSK
@@ -204,8 +200,6 @@ def rb_carrier_estimate(
         raise ValueError(f"need at least {MIN_CARRIER_SAMPLES} symbol-spaced samples")
     w = z[:n_fft] ** RB_POWER
     spectrum = np.fft.fft(w, n_fft)
-    if counter is not None:
-        counter.tally_fft(n_fft)
     mag = np.abs(spectrum)
     peak = int(np.argmax(mag))
     m0 = mag[peak]
@@ -263,7 +257,7 @@ _REFERENCE_SIZE = phy_frames.PREAMBLE_REPEATS * PREAMBLE_BLOCK.size
 _REFERENCE_ENERGY = phy_frames.PREAMBLE_REPEATS * float(np.sum(np.abs(PREAMBLE_BLOCK) ** 2))
 
 
-def _preamble_peak(symbols, counter=None):
+def _preamble_peak(symbols):
     """Best normalized complex correlation with the preamble, PREAMBLE_BLOCK
     repeated: (peak, lag, phase_at_peak).
 
@@ -278,8 +272,6 @@ def _preamble_peak(symbols, counter=None):
     if u.size < n_ref:
         return 0.0, 0, 0.0
     corr = comb_correlate(u, PREAMBLE_BLOCK)
-    if counter is not None:
-        counter.tally_correlation_search(n_ref, corr.size)
     energy = np.concatenate(([0.0], np.cumsum(np.abs(u) ** 2)))
     win = energy[n_ref:] - energy[:-n_ref]
     norm = np.abs(corr) / (np.sqrt(win * _REFERENCE_ENERGY) + 1e-30)
@@ -309,8 +301,10 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     sym_raw = z[phi0 :: 2 * sps]
     if sym_raw.size < MIN_CARRIER_SAMPLES:
         return report
-    est = rb_carrier_estimate(sym_raw, t_sym, n_fft=cfg.n_fft, counter=counter)
+    est = rb_carrier_estimate(sym_raw, t_sym, n_fft=cfg.n_fft)
     report.carrier = est
+    if counter is not None:
+        counter.tally_fft(cfg.n_fft)
 
     # Matched-filter, then compensate the chip decisions.  At low SNR the
     # power-of-four spectrum degenerates to noise and its argmax is a random
@@ -325,9 +319,9 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # that a timing phase one sample under the truth (tau_hat = truth - 1
     # mod sps, which advances every decision by a chip) still leaves the
     # whole frame inside the slice.
-    x = matched_filter(
-        buf, counter=counter, phase=phi0, f_hz=est.f_d_hat_hz if gate_open else 0.0
-    )
+    x = matched_filter(buf, phase=phi0, f_hz=est.f_d_hat_hz if gate_open else 0.0)
+    if counter is not None:
+        counter.tally_matched_filter(x.size, 2 * sps)
     if gate_open:
         instants = range(phi0 + sps, phi0 + sps * (x.size + 1), sps)
         x = compensate(x, est, instants, buf.sample_period_s)
@@ -341,7 +335,9 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     for parity in (0, 1):
         n = (x.size - parity) // 2
         u = x[parity : parity + 2 * n : 2] + x[parity + 1 : parity + 2 * n + 1 : 2]
-        candidates.append((*_preamble_peak(u, counter=counter), parity))
+        candidates.append((*_preamble_peak(u), parity))
+        if counter is not None and u.size >= _REFERENCE_SIZE:
+            counter.tally_correlation_search(_REFERENCE_SIZE, u.size - _REFERENCE_SIZE + 1)
     # max keeps the first of equal peaks: parity 1 wins only on a strictly greater one.
     peak, m0, delta_hat, parity = max(candidates, key=lambda c: c[0])
     r0 = 2 * m0 + parity

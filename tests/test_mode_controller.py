@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from dualmodem import sim_harness
-from dualmodem.mode_controller import (
-    MODE_MSK,
-    MODE_QPSK,
-    ModeState,
-    preamble_match_count,
-    step_mode,
-)
-from dualmodem.phy_frames import PREAMBLE_CHIPS
+from dualmodem.mode_controller import MODE_MSK, MODE_QPSK, ModeState, step_mode
 
 
 def _run(verdicts):
@@ -19,25 +12,6 @@ def _run(verdicts):
     for verdict in verdicts:
         state = step_mode(state, verdict)
     return state
-
-
-def test_preamble_match_count():
-    rng = np.random.default_rng(0)
-    ref = rng.integers(0, 2, 256).astype(np.uint8)
-    assert preamble_match_count(ref, ref) == 256
-    flipped = ref.copy()
-    flipped[rng.choice(256, 13, replace=False)] ^= 1
-    assert preamble_match_count(flipped, ref) == 243
-    with pytest.raises(ValueError):
-        preamble_match_count(ref[:128], ref)
-
-
-def test_preamble_match_count_rejects_non_binary_chips():
-    # A cast to uint8 would read 0.9 as chip 0 and match half the preamble.
-    with pytest.raises(ValueError, match="0/1"):
-        preamble_match_count(np.full(256, 0.9), PREAMBLE_CHIPS)
-    with pytest.raises(ValueError, match="0/1"):
-        preamble_match_count(PREAMBLE_CHIPS, np.full(256, 2, dtype=np.uint8))
 
 
 def test_verdict_threshold_edge(monkeypatch):

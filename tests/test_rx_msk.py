@@ -7,9 +7,11 @@ from dualmodem import phy_frames as pf
 from dualmodem._rxtypes import (
     SYNC_THRESHOLD,
     TIMING_WINDOW_SYMBOLS,
+    DemodReport,
     RxConfig,
     comb_correlate,
     earliest_peak,
+    finish_frame,
 )
 from dualmodem.channel_model import ChannelParams, apply
 from dualmodem.complexity_meter import RuntimeCounters
@@ -209,14 +211,11 @@ def test_detect_chips_ties_to_zero():
     rng = np.random.default_rng(14)
     y = diff_detect(_buf(rng.standard_normal(400) + 1j * rng.standard_normal(400)), 3)
     y[5:9] = 0.0
-    counter = RuntimeCounters()
-    chips = detect_chips(y, counter=counter)
+    chips = detect_chips(y)
     assert chips.dtype == np.uint8 and chips.size == y.size
     assert chips[0] == 0
     assert np.array_equal(chips[1:], (y[1:] > 0).astype(np.uint8))
     assert not chips[5:9].any()
-    # The first chip is fixed, not decided.
-    assert counter.bit_comparisons == y.size - 1
     assert not detect_chips(np.zeros(64)).any()
 
 
@@ -235,13 +234,9 @@ def test_frame_sync_msk_finds_offset():
 
 
 def test_frame_sync_msk_exact_peak_value():
-    counter = RuntimeCounters()
     source = frame_source_chips(np.ones(8, dtype=np.uint8))
-    found, start = frame_sync_msk(source, counter=counter)
+    found, start = frame_sync_msk(source)
     assert found and start == 0
-    assert counter.frame_sync_mults == 256**2
-    assert counter.frame_sync_adds == 255**2
-    assert counter.lags_searched == source.size - 256 + 1
 
 
 def test_frame_sync_msk_rejects_noise_and_short_input():
@@ -370,6 +365,73 @@ def test_demodulate_counter_plumbing():
     instants = len(buf.samples[report.timing.tau_hat :: SPS])
     assert counter.diff_mults == 6 * (instants - 1)
     assert counter.bit_comparisons == instants - 1
+
+
+@pytest.mark.parametrize("n_samples", [2 * SPS, 400, 2_047, 2_561, 14_856])
+def test_demodulate_books_each_stage_at_its_chip_count(n_samples):
+    # n chip instants: n - 1 lag products and decisions (the first chip is
+    # fixed, not decided), and one 256-chip search over n - 255 lags once
+    # the instants hold a whole preamble.
+    rng = np.random.default_rng(n_samples)
+    z = rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
+    counter = RuntimeCounters()
+    report = demodulate(_buf(z), RxConfig(), counter=counter)
+    n = len(z[report.timing.tau_hat :: SPS])
+    assert counter.diff_mults == 6 * (n - 1)
+    assert counter.diff_adds == 3 * (n - 1)
+    assert counter.bit_comparisons == n - 1
+    searches = n >= 256
+    assert counter.frame_sync_mults == searches * 256**2
+    assert counter.frame_sync_adds == searches * 255**2
+    assert counter.lags_searched == searches * (n - 255)
+
+
+def test_demodulate_books_the_frame_sync_search_of_a_found_frame():
+    buf = _frame_buf(np.ones(8, dtype=np.uint8))
+    counter = RuntimeCounters()
+    report = demodulate(buf, RxConfig(payload_bits=8), counter=counter)
+    assert report.frame_found
+    n = len(buf.samples[report.timing.tau_hat :: SPS])
+    assert counter.frame_sync_mults == 256**2
+    assert counter.frame_sync_adds == 255**2
+    assert counter.lags_searched == n - 256 + 1
+    assert counter.despread_xors == 2 * 512
+
+
+# ---------------------------------------------------------------------------
+# Shared frame tail and degenerate input, both chains
+# ---------------------------------------------------------------------------
+
+
+def _finish(chips, frame_start=0):
+    return finish_frame(DemodReport(mode="msk", frame_found=False), chips, frame_start)
+
+
+def test_finish_frame_counts_preamble_matches():
+    # The SNR indicator: 256 minus the Hamming distance to the preamble.
+    rng = np.random.default_rng(0)
+    payload = rng.integers(0, 2, 40).astype(np.uint8)
+    source = frame_source_chips(payload)
+    assert _finish(source).preamble_match_count == 256
+    flipped = source.copy()
+    flipped[rng.choice(256, 13, replace=False)] ^= 1
+    report = _finish(flipped, frame_start=7)
+    assert report.preamble_match_count == 243
+    assert report.frame_found and report.frame_start == 7
+    assert np.array_equal(report.payload_bits, payload)
+    with pytest.raises(ValueError):
+        _finish(source[:128])
+
+
+def test_finish_frame_rejects_non_binary_chips():
+    # A cast to uint8 would read 0.9 as chip 0 and match half the preamble.
+    source = frame_source_chips(np.zeros(40, dtype=np.uint8))
+    with pytest.raises(ValueError, match="0/1"):
+        _finish(np.full(source.size, 0.9))
+    two_in_preamble = source.copy()
+    two_in_preamble[3] = 2
+    with pytest.raises(ValueError, match="0/1"):
+        _finish(two_in_preamble)
 
 
 @pytest.mark.parametrize("chain", [demodulate, demodulate_qpsk], ids=["msk", "qpsk"])

@@ -88,15 +88,11 @@ def test_matched_filter_decision_grid_matches_full_convolution():
     for n in (1, SPS, N_PULSE + 3, 1_000, 14_856):
         z = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         full = np.convolve(z, taps)
-        counter = RuntimeCounters()
         for phase in range(SPS):
-            grid = matched_filter(_buf(z), counter=counter, phase=phase)
+            grid = matched_filter(_buf(z), phase=phase)
             ref = full[phase + SPS :: SPS]
             assert grid.shape == ref.shape, (n, phase)
             assert np.allclose(grid, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(z)))
-        assert counter.mf_mults == 2 * N_PULSE * sum(
-            full[phase + SPS :: SPS].size for phase in range(SPS)
-        )
     with pytest.raises(ValueError):
         matched_filter(_buf(np.zeros(64)), phase=SPS)
 
@@ -474,9 +470,7 @@ def test_qpsk_comb_sync_picks_the_same_lag_and_parity(monkeypatch):
     # frame_start encodes the sync lag and chip parity, so equal reports
     # mean equal picks.
     comb = _sync_limited_reports()
-    monkeypatch.setattr(
-        rx_qpsk, "_preamble_peak", lambda u, counter=None: _preamble_peak_reference(u)
-    )
+    monkeypatch.setattr(rx_qpsk, "_preamble_peak", _preamble_peak_reference)
     assert comb == _sync_limited_reports()
     assert any(found for found, _, _ in comb) and not all(found for found, _, _ in comb)
 
@@ -488,9 +482,9 @@ def test_decision_rate_compensation_decides_as_rotating_the_buffer(monkeypatch):
     seen = {}
     reference_calls = []
 
-    def plain_filter(buf, counter=None, phase=None, f_hz=0.0):
+    def plain_filter(buf, phase=None, f_hz=0.0):
         seen["buf"], seen["phase"] = buf, phase
-        return matched_filter(buf, counter=counter, phase=phase)
+        return matched_filter(buf, phase=phase)
 
     def rotate_the_buffer(x, estimate, instants, sample_period_s):
         # The chain rotates at the instants of the filter's decision grid.
@@ -513,7 +507,7 @@ def test_sync_parity_1_wins_only_on_a_strictly_greater_peak(monkeypatch):
     for peaks, parity in (((0.9, 0.9), 0), ((0.9, 0.9 + 1e-12), 1)):
         stub = iter(peaks)
         monkeypatch.setattr(
-            rx_qpsk, "_preamble_peak", lambda u, counter=None: (next(stub), 5, 0.0)
+            rx_qpsk, "_preamble_peak", lambda u: (next(stub), 5, 0.0)
         )
         report = demodulate(buf, RxConfig(payload_bits=8))
         assert report.frame_start == report.timing.tau_hat + (2 * 5 + parity - 1) * SPS
@@ -539,9 +533,9 @@ def test_rb_nan_spectrum_gives_nan_ratio():
     assert np.isnan(est.peak_to_median)
 
 
-def frame_sync_qpsk(symbols, counter=None):
+def frame_sync_qpsk(symbols):
     """(found, lag) of the preamble peak at the chain's sync threshold."""
-    peak, lag, _ = _preamble_peak(symbols, counter=counter)
+    peak, lag, _ = _preamble_peak(symbols)
     return peak >= SYNC_THRESHOLD, lag
 
 
@@ -575,12 +569,16 @@ def test_frame_sync_qpsk_rejects_noise_and_short_input():
 
 
 def test_frame_sync_qpsk_counter_tally():
+    # The chain books one 128-symbol search per chip parity.  A 2,561-sample
+    # buffer has 321 decisions at every timing phase, which each parity
+    # pairs into 160 symbols: 33 lags.
     counter = RuntimeCounters()
-    symbols = np.concatenate([preamble_reference_symbols(), np.zeros(32)])
-    frame_sync_qpsk(symbols, counter=counter)
-    assert counter.frame_sync_mults == 128**2
-    assert counter.frame_sync_adds == 127**2
-    assert counter.lags_searched == 33
+    buf = _buf(_frame_buf(np.zeros(200, dtype=np.uint8)).samples[:2_561])
+    report = demodulate(buf, RxConfig(), counter=counter)
+    assert len(_grid(report.timing.tau_hat, 321)) == 321
+    assert counter.frame_sync_mults == 2 * 128**2
+    assert counter.frame_sync_adds == 2 * 127**2
+    assert counter.lags_searched == 2 * 33
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +674,21 @@ def test_demodulate_counter_plumbing():
     assert counter.mf_mults == 2 * N_PULSE * n_decisions
     assert counter.despread_xors == 50 * 512
     assert counter.despread_comparisons == 50 * 15
+
+
+def test_demodulate_books_two_real_macs_per_decision_with_the_gate_closed():
+    # The filter's taps are real unless the carrier gate opens, so each of
+    # its N-tap decisions costs 2N real multiplies.
+    rng = np.random.default_rng(30)
+    for n in (1_024, 2_561, 14_856):
+        z = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        counter = RuntimeCounters()
+        report = demodulate(_buf(z), RxConfig(), counter=counter)
+        assert report.carrier.peak_to_median < RB_CONFIDENCE_MIN, n
+        n_decisions = len(range(report.timing.tau_hat + SPS, n + N_PULSE - 1, SPS))
+        assert counter.mf_mults == 2 * N_PULSE * n_decisions, n
+        assert counter.mf_adds == 2 * (N_PULSE - 1) * n_decisions, n
+        assert counter.fft_mults > 0
 
 
 # ---------------------------------------------------------------------------
