@@ -32,6 +32,22 @@ class RxConfig:
         check_n_fft(self.n_fft)
 
 
+def erase_non_finite(buf: IqBuffer) -> IqBuffer:
+    """buf itself when every sample is finite; otherwise a copy with each NaN
+    or infinite sample erased to 0.
+
+    Both chains start here.  Left in place, one such sample wins
+    msk_timing's argmax or turns every later preamble-energy window NaN,
+    and an infinite one raises invalid-value warnings downstream.
+    """
+    finite = np.isfinite(buf.samples)
+    if finite.all():
+        return buf
+    return IqBuffer(
+        samples=np.where(finite, buf.samples, 0.0), sps=buf.sps, chip_rate_hz=buf.chip_rate_hz
+    )
+
+
 @dataclass
 class MskTimingStat:
     """Squared lag-product timing statistic (one complex value per phase)."""

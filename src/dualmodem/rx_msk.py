@@ -22,6 +22,7 @@ from ._rxtypes import (
     RxConfig,
     comb_correlate,
     earliest_peak,
+    erase_non_finite,
     finish_frame,
     msk_timing,
 )
@@ -97,6 +98,7 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     """Full non-coherent chain: timing, phase-difference detection, frame
     sync, despreading.  No carrier estimate is produced or needed."""
     cfg = cfg or RxConfig()
+    buf = erase_non_finite(buf)
     layout = phy_frames.FrameLayout(payload_bits=cfg.payload_bits)
     sps = buf.sps
 

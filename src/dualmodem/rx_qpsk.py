@@ -40,6 +40,7 @@ from ._rxtypes import (
     check_n_fft,
     comb_correlate,
     earliest_peak,
+    erase_non_finite,
     finish_frame,
     msk_timing,
 )
@@ -282,6 +283,7 @@ def _preamble_peak(symbols):
 def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> DemodReport:
     """Full coherent chain; see the module docstring for the stage order."""
     cfg = cfg or RxConfig()
+    buf = erase_non_finite(buf)
     layout = phy_frames.FrameLayout(payload_bits=cfg.payload_bits)
     sps = buf.sps
     z = buf.samples

@@ -1,5 +1,7 @@
 """Tests for the non-coherent MSK receiver chain."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dualmodem._rxtypes import (
     RxConfig,
     comb_correlate,
     earliest_peak,
+    erase_non_finite,
     finish_frame,
 )
 from dualmodem.channel_model import ChannelParams, apply
@@ -447,6 +450,37 @@ def test_demodulate_all_nan_reports_no_frame(chain):
     report = chain(_buf(np.full(14_856, np.nan)))
     assert not report.frame_found
     assert report.payload_bits is None
+
+
+@pytest.mark.parametrize("chain", [demodulate, demodulate_qpsk], ids=["msk", "qpsk"])
+@pytest.mark.parametrize(
+    "value",
+    [np.nan, complex(np.nan, 0.0), np.inf, -np.inf, 1j * np.inf],
+    ids=["nan", "nan+0j", "inf", "-inf", "1j*inf"],
+)
+def test_demodulate_erases_a_non_finite_sample(chain, value):
+    # One bad sample anywhere in a noiseless frame, the timing head and the
+    # two ends included, costs no bit and raises no warning.
+    payload = np.random.default_rng(4).integers(0, 2, 200).astype(np.uint8)
+    clean = _frame_buf(payload).samples
+    for index in (3, 100, 519, 520, 2_000, 7_000, clean.size - 1):
+        samples = clean.copy()
+        samples[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = chain(_buf(samples))
+        assert report.frame_found and report.frame_start == 0, index
+        assert np.array_equal(report.payload_bits, payload), index
+
+
+def test_erase_non_finite_returns_a_finite_buffer_uncopied():
+    buf = _frame_buf(np.zeros(8, dtype=np.uint8))
+    assert erase_non_finite(buf) is buf
+    buf.samples[[0, 5]] = [np.nan, np.inf]
+    erased = erase_non_finite(buf)
+    assert erased.samples[0] == 0 and erased.samples[5] == 0
+    assert np.array_equal(erased.samples[6:], buf.samples[6:])
+    assert np.isnan(buf.samples[0])
 
 
 @pytest.mark.parametrize("chain", [demodulate, demodulate_qpsk], ids=["msk", "qpsk"])
