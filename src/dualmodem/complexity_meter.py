@@ -242,11 +242,17 @@ class RuntimeCounters:
     The chains book them: rx_qpsk.demodulate and rx_msk.demodulate each
     call a tally method after every stage they ran, at the sizes they
     called it with, and their shared tail _rxtypes.finish_frame books the
-    despreading.  Frame-sync and chip-to-symbol tallies reproduce the closed forms exactly
-    (same conventions).  Matched filter and differential detection are
-    booked per output the receivers actually form, one per chip decision,
-    at the canonical cost of each output.  The FFT tally is an effort
-    estimate, since numpy's FFT is not the counted radix-2 algorithm.
+    despreading.  Frame-sync and chip-to-symbol tallies reproduce the
+    closed forms exactly (same conventions).  Matched filter and
+    differential detection are booked per output the receivers actually
+    form, one per chip decision, at the canonical cost of each output: a
+    filter with real taps costs two real MACs per tap, one tuned to a
+    carrier estimate (complex taps) a complex MAC per tap.  The carrier
+    fields (fft_adds, fft_mults; "Frequency and Phase Synchronization")
+    hold the FFT, an effort estimate since numpy's FFT is not the counted
+    radix-2 algorithm, plus compensate's work on gate-open packets: per
+    decision one multiply-add for its phase and one complex multiply to
+    rotate it.
     """
 
     frame_sync_adds: int = 0
@@ -281,6 +287,18 @@ class RuntimeCounters:
         # Complex data against real taps: two real MACs per tap per sample.
         self.mf_mults += 2 * n_out * n_taps
         self.mf_adds += 2 * n_out * (n_taps - 1)
+
+    def tally_tuned_filter(self, n_out: int, n_taps: int) -> None:
+        # Complex data against complex taps: 4 mults and 2 adds per tap,
+        # plus 2 * (n_taps - 1) adds to accumulate each output.
+        self.mf_mults += 4 * n_out * n_taps
+        self.mf_adds += 2 * n_out * n_taps + 2 * n_out * (n_taps - 1)
+
+    def tally_compensate(self, n_decisions: int) -> None:
+        # Per decision: the phase n*w + theta (1 mult, 1 add), then one
+        # complex multiply (4 mults, 2 adds).
+        self.fft_mults += 5 * n_decisions
+        self.fft_adds += 3 * n_decisions
 
     def tally_fft(self, n_fft: int) -> None:
         adds, mults = fft_op_counts(n_fft)

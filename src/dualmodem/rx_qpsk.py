@@ -321,12 +321,17 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # that a timing phase one sample under the truth (tau_hat = truth - 1
     # mod sps, which advances every decision by a chip) still leaves the
     # whole frame inside the slice.
-    x = matched_filter(buf, phase=phi0, f_hz=est.f_d_hat_hz if gate_open else 0.0)
+    f_hz = est.f_d_hat_hz if gate_open else 0.0
+    x = matched_filter(buf, phase=phi0, f_hz=f_hz)
     if counter is not None:
-        counter.tally_matched_filter(x.size, 2 * sps)
+        # A nonzero frequency tunes the taps, which makes them complex.
+        tally = counter.tally_tuned_filter if f_hz else counter.tally_matched_filter
+        tally(x.size, 2 * sps)
     if gate_open:
         instants = range(phi0 + sps, phi0 + sps * (x.size + 1), sps)
         x = compensate(x, est, instants, buf.sample_period_s)
+        if counter is not None:
+            counter.tally_compensate(x.size)
     if x.size < 2 * layout.preamble_chips // phy_frames.CHIPS_PER_SYMBOL:
         return report
 

@@ -15,7 +15,7 @@ from dualmodem._rxtypes import (
     earliest_peak,
 )
 from dualmodem.channel_model import ChannelParams, apply
-from dualmodem.complexity_meter import RuntimeCounters
+from dualmodem.complexity_meter import RuntimeCounters, fft_op_counts
 from dualmodem.rx_qpsk import (
     PREAMBLE_BLOCK,
     RB_CONFIDENCE_MIN,
@@ -674,6 +674,25 @@ def test_demodulate_counter_plumbing():
     assert counter.mf_mults == 2 * N_PULSE * n_decisions
     assert counter.despread_xors == 50 * 512
     assert counter.despread_comparisons == 50 * 15
+
+
+def test_demodulate_books_the_gate_open_filter_and_compensate_at_their_cost():
+    # At 50 kHz the gate opens and the filter runs with complex taps: a
+    # complex MAC per tap (4 mults, 2 adds) plus 2(N - 1) accumulation adds
+    # per decision.  compensate books a phase multiply-add and a complex
+    # multiply per decision in the carrier fields.
+    payload = np.random.default_rng(18).integers(0, 2, 200).astype(np.uint8)
+    buf = apply(_frame_buf(payload), ChannelParams(f_d_hz=50e3))
+    counter = RuntimeCounters()
+    report = demodulate(buf, RxConfig(), counter=counter)
+    assert report.frame_found and np.array_equal(report.payload_bits, payload)
+    assert report.carrier.peak_to_median >= RB_CONFIDENCE_MIN
+    n_decisions = len(range(report.timing.tau_hat + SPS, len(buf) + N_PULSE - 1, SPS))
+    assert counter.mf_mults == 4 * N_PULSE * n_decisions
+    assert counter.mf_adds == (2 * N_PULSE + 2 * (N_PULSE - 1)) * n_decisions
+    fft_adds, fft_mults = fft_op_counts(2048)
+    assert counter.fft_mults == fft_mults + 5 * n_decisions
+    assert counter.fft_adds == fft_adds + 3 * n_decisions
 
 
 def test_demodulate_books_two_real_macs_per_decision_with_the_gate_closed():
