@@ -40,12 +40,11 @@ def erase_non_finite(buf: IqBuffer) -> IqBuffer:
     msk_timing's argmax or turns every later preamble-energy window NaN,
     and an infinite one raises invalid-value warnings downstream.
     """
-    finite = np.isfinite(buf.samples)
-    if finite.all():
+    if np.isfinite(buf.samples.view(np.float64)).all():
         return buf
-    return IqBuffer(
-        samples=np.where(finite, buf.samples, 0.0), sps=buf.sps, chip_rate_hz=buf.chip_rate_hz
-    )
+    samples = buf.samples.copy()
+    samples[~np.isfinite(samples)] = 0.0
+    return IqBuffer(samples=samples, sps=buf.sps, chip_rate_hz=buf.chip_rate_hz)
 
 
 @dataclass

@@ -56,7 +56,8 @@ class IqBuffer:
     chip_rate_hz: float = CHIP_RATE_HZ
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
+        # Contiguous, so that the samples can be read as interleaved floats.
+        self.samples = np.asarray(self.samples, dtype=np.complex128, order="C")
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         check_sps(self.sps)

@@ -481,6 +481,9 @@ def test_erase_non_finite_returns_a_finite_buffer_uncopied():
     assert erased.samples[0] == 0 and erased.samples[5] == 0
     assert np.array_equal(erased.samples[6:], buf.samples[6:])
     assert np.isnan(buf.samples[0])
+    # A strided input is stored contiguous, so its samples read as floats.
+    strided = _buf(buf.samples[::2])
+    assert erase_non_finite(strided).samples[0] == 0
 
 
 @pytest.mark.parametrize("chain", [demodulate, demodulate_qpsk], ids=["msk", "qpsk"])
