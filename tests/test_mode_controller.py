@@ -1,6 +1,5 @@
 """Tests for the SNR-driven mode controller."""
 
-import numpy as np
 import pytest
 
 from dualmodem import sim_harness
