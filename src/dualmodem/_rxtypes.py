@@ -86,16 +86,15 @@ class DemodReport:
     """What a receiver chain recovered from one buffer."""
 
     mode: str
-    frame_found: bool
     frame_start: int | None = None
     payload_bits: np.ndarray | None = None
     preamble_match_count: int = 0
     carrier: Any = None  # rx_qpsk.CarrierEstimate; qpsk only
     timing: MskTimingStat | None = None
 
-    def __post_init__(self):
-        if self.payload_bits is not None and not self.frame_found:
-            raise ValueError("payload present implies frame_found")
+    @property
+    def frame_found(self) -> bool:
+        return self.payload_bits is not None
 
 
 # A payload that begins with all-zero symbols extends the preamble pattern,
@@ -157,7 +156,6 @@ def finish_frame(report: DemodReport, source_chips, frame_start: int, counter=No
     chips = phy_frames.as_bits(source_chips, "chips")
     preamble = phy_frames.PREAMBLE_CHIPS
     n = preamble.size
-    report.frame_found = True
     report.frame_start = frame_start
     report.preamble_match_count = n - int(np.count_nonzero(chips[:n] ^ preamble))
     symbols, _ = phy_frames.despread_stream(chips[n:])

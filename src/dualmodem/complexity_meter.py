@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phy_frames
-from ._rxtypes import RxConfig
+from ._rxtypes import RxConfig, check_n_fft
 from .tx_oqpsk import DEFAULT_SPS
 
 STAGE_STR = "Symbol Timing Recovery"
@@ -39,10 +39,6 @@ STAGE_BIT_DETECT = "Bit Detection"
 STAGE_DIFF_DETECT = "Differential Detection"
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class ComplexityParams:
     """Stage-cost parameters.
@@ -52,6 +48,8 @@ class ComplexityParams:
     n_preamble: preamble symbols correlated per frame-sync search.
     n_bits: payload bits per frame.
     n_fft: carrier-recovery transform length.
+
+    n_bits and n_fft obey the receiver's rules (RxConfig).
     """
 
     l_pulses: int = 32
@@ -61,17 +59,12 @@ class ComplexityParams:
     n_fft: int = RxConfig.n_fft
 
     def __post_init__(self):
-        for name in ("l_pulses", "n_sample", "n_preamble", "n_fft"):
+        for name in ("l_pulses", "n_sample", "n_preamble"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.n_bits < 0:
-            raise ValueError("n_bits must be non-negative")
-        if self.n_bits % 4:
-            raise ValueError("n_bits must be a multiple of 4")
-        if not _is_pow2(self.n_fft):
-            raise ValueError("n_fft must be a power of two")
         if self.n_sample % 2:
             raise ValueError("n_sample must be even")
+        RxConfig(self.n_bits, self.n_fft)  # validates the payload length and FFT size
 
 
 @dataclass(frozen=True)
@@ -142,27 +135,23 @@ def _frame_sync_stage(n_preamble: int) -> StageOps:
 
 def _chip_to_symbol_stage(n_bits: int) -> StageOps:
     n_symbols = n_bits // 4
-    other = ()
-    if n_bits:
-        other = (("XOR", n_bits * 128), ("comparisons", n_symbols * 15))
     return StageOps(
         name=STAGE_CHIP_TO_SYMBOL,
         additions=n_symbols * 31 * 16,
-        other=other,
+        other=(("XOR", n_bits * 128), ("comparisons", n_symbols * 15)),
     )
 
 
 def _bit_detect_stage(n_bits: int) -> StageOps:
     return StageOps(
         name=STAGE_BIT_DETECT,
-        other=(("comparisons", n_bits),) if n_bits else (),
+        other=(("comparisons", n_bits),),
     )
 
 
 def fft_op_counts(n_fft: int) -> tuple[int, int]:
     """(additions, multiplications) of a radix-2 length-n transform."""
-    if not _is_pow2(n_fft) or n_fft < 2:
-        raise ValueError("n_fft must be a power of two >= 2")
+    check_n_fft(n_fft)
     half = n_fft // 2
     log_half = int(np.log2(half))
     adds = 7 * half * log_half - 5 * n_fft + 8
@@ -311,7 +300,7 @@ class RuntimeCounters:
         self.diff_mults += 6 * n_samples
         self.diff_adds += 3 * n_samples
 
-    def to_report(self, chain: str = "runtime") -> OpCountReport:
+    def to_report(self) -> OpCountReport:
         """The stages of _RUNTIME_STAGES with a nonzero count, in its order."""
         stages = []
         for name, adds, mults, other in _RUNTIME_STAGES:
@@ -323,4 +312,4 @@ class RuntimeCounters:
             )
             if stage.additions or stage.multiplications or any(c for _, c in stage.other):
                 stages.append(stage)
-        return OpCountReport(chain=chain, stages=tuple(stages))
+        return OpCountReport(chain="runtime", stages=tuple(stages))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 DEFAULT_MATCH_THRESHOLD = 240
 K_UP = 3
-K_DOWN = 1
 
 MODE_QPSK = "qpsk"
 MODE_MSK = "msk"
@@ -26,7 +25,6 @@ class ModeState:
 
     mode: str = MODE_QPSK
     good_run: int = 0
-    poor_run: int = 0
     switch_count: int = 0
 
     def __post_init__(self):
@@ -38,21 +36,18 @@ def step_mode(state: ModeState, good: bool) -> ModeState:
     """Advance the controller by one packet verdict: good when the packet's
     preamble match count reached the threshold.
 
-    K_UP consecutive good verdicts switch to MSK; K_DOWN consecutive poor
-    verdicts switch back to QPSK.
+    K_UP consecutive good verdicts switch to MSK; one poor verdict switches
+    back to QPSK.
     """
     good_run = state.good_run + 1 if good else 0
-    poor_run = 0 if good else state.poor_run + 1
     mode = state.mode
     if state.mode == MODE_QPSK and good_run >= K_UP:
         mode = MODE_MSK
         good_run = 0
-    elif state.mode == MODE_MSK and poor_run >= K_DOWN:
+    elif state.mode == MODE_MSK and not good:
         mode = MODE_QPSK
-        poor_run = 0
     return ModeState(
         mode=mode,
         good_run=good_run,
-        poor_run=poor_run,
         switch_count=state.switch_count + (mode != state.mode),
     )

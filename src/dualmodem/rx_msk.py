@@ -102,7 +102,7 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     layout = phy_frames.FrameLayout(payload_bits=cfg.payload_bits)
     sps = buf.sps
 
-    report = DemodReport(mode="msk", frame_found=False)
+    report = DemodReport(mode="msk")
     if buf.samples.size < 2 * sps:
         return report
     stat = msk_timing(buf)

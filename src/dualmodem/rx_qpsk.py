@@ -57,6 +57,10 @@ RB_CONFIDENCE_MIN = 5.5
 # Fewest symbol-spaced samples the carrier estimator accepts.
 MIN_CARRIER_SAMPLES = 64
 
+# Early and late taps of the early-late gate, in samples either side of the
+# candidate phase.
+ELG_DELTA = 2
+
 
 @dataclass
 class CarrierEstimate:
@@ -64,11 +68,9 @@ class CarrierEstimate:
 
     f_d_hat_hz: float
     theta_hat_rad: float
-    n_fft: int
-    peak_magnitude: float
     # Ratio of the spectral peak to the median bin magnitude.  Near 1 the
     # spectrum is flat (no tone found); large values mean a credible tone.
-    peak_to_median: float = float("nan")
+    peak_to_median: float
 
 
 @dataclass
@@ -129,29 +131,22 @@ def matched_filter(buf: IqBuffer, phase: int | None = None, f_hz: float = 0.0):
     return IqBuffer(samples=out, sps=sps, chip_rate_hz=buf.chip_rate_hz)
 
 
-def elg_timing(
-    buf: IqBuffer,
-    l_pulses: int = 32,
-    delta: int = 2,
-    initial_phase: int | None = None,
-) -> TimingEstimate:
-    """Early-late gate on the filtered magnitude.
+def elg_timing(buf: IqBuffer, l_pulses: int = 32, *, initial_phase: int) -> TimingEstimate:
+    """Early-late gate on the filtered magnitude, started at initial_phase.
 
-    Per pulse, compares |z| at the candidate phase p against p +- delta and
-    nudges p toward the larger neighbour.  Samples accumulate while the
+    Per pulse, compares |z| at the candidate phase p against p +- ELG_DELTA
+    and nudges p toward the larger neighbour.  Samples accumulate while the
     candidate holds still, so decisions sharpen between shifts; three
     consecutive no-shift decisions declare convergence.
     """
     n_pulse = 2 * buf.sps
-    if not 1 <= delta < buf.sps:
-        raise ValueError("delta must lie in [1, sps)")
+    if buf.sps <= ELG_DELTA:
+        raise ValueError(f"sps must exceed ELG_DELTA = {ELG_DELTA}")
     if l_pulses < 1:
         raise ValueError("l_pulses must be positive")
     mag = np.abs(buf.samples)
     if mag.size < 3 * n_pulse:
         raise ValueError("buffer too short for the early-late gate")
-    if initial_phase is None:
-        initial_phase = int(np.argmax(mag[:n_pulse]))
 
     phase = int(initial_phase)
     acc_e = acc_m = acc_l = 0.0
@@ -160,12 +155,12 @@ def elg_timing(
     used = 0
     for i in range(l_pulses):
         center = phase + (i + 1) * n_pulse
-        if center - delta < 0 or center + delta >= mag.size:
+        if center - ELG_DELTA < 0 or center + ELG_DELTA >= mag.size:
             break
         used = i + 1
-        acc_e += mag[center - delta]
+        acc_e += mag[center - ELG_DELTA]
         acc_m += mag[center]
-        acc_l += mag[center + delta]
+        acc_l += mag[center + ELG_DELTA]
         if acc_l > acc_m:
             phase += 1
             acc_e = acc_m = acc_l = 0.0
@@ -218,8 +213,6 @@ def rb_carrier_estimate(symbols, t_sym_s: float, n_fft: int = RxConfig.n_fft) ->
     return CarrierEstimate(
         f_d_hat_hz=f4_hz / RB_POWER,
         theta_hat_rad=theta_hat,
-        n_fft=n_fft,
-        peak_magnitude=float(m0),
         # A NaN floor (NaN input) gives a NaN ratio, which the gate rejects.
         peak_to_median=float(m0) / floor if floor != 0.0 else float("inf"),
     )
@@ -288,8 +281,8 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     sps = buf.sps
     z = buf.samples
 
-    report = DemodReport(mode="qpsk", frame_found=False)
-    if z.size < 4 * layout.preamble_chips:
+    report = DemodReport(mode="qpsk")
+    if z.size < 2 * sps:
         return report
 
     # Chip-boundary sampling phase, rotation-immune (see module docstring).
@@ -332,12 +325,11 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
         x = compensate(x, est, instants, buf.sample_period_s)
         if counter is not None:
             counter.tally_compensate(x.size)
-    if x.size < 2 * layout.preamble_chips // phy_frames.CHIPS_PER_SYMBOL:
-        return report
 
     # The preamble correlator runs at symbol rate; pairing consecutive
     # boundary samples re-forms QPSK symbols.  Both chip parities of the
-    # frame start are tried and the stronger peak wins.
+    # frame start are tried and the stronger peak wins; a parity whose
+    # symbols hold no whole preamble peaks at 0 (_preamble_peak).
     candidates = []
     for parity in (0, 1):
         n = (x.size - parity) // 2

@@ -128,7 +128,6 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    config: SweepConfig
     points: tuple[SweepPoint, ...]
 
 
@@ -168,13 +167,13 @@ def run_packet(
     rxcfg = RxConfig(payload_bits=cfg.payload_bits, n_fft=cfg.n_fft)
     report = chain.demodulate(rx, rxcfg)
 
-    if report.frame_found and report.payload_bits is not None:
+    if report.frame_found:
         errors = int(np.count_nonzero(report.payload_bits != payload))
     else:
         errors = cfg.payload_bits
     return PacketRecord(
         mode=mode,
-        frame_found=bool(report.frame_found),
+        frame_found=report.frame_found,
         bit_errors=errors,
         preamble_match=int(report.preamble_match_count),
     )
@@ -270,7 +269,7 @@ def ber_sweep(cfg: SweepConfig, workers: int = 0) -> SweepResult:
             points = tuple(pool.map(_sweep_point, itertools.repeat(cfg), indices))
     else:
         points = tuple(_sweep_point(cfg, i) for i in indices)
-    return SweepResult(config=cfg, points=points)
+    return SweepResult(points=points)
 
 
 def _fmt(x) -> str:

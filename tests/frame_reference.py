@@ -1,5 +1,6 @@
 """Reference forms of a frame's source (pre-encoding) chip stream, its
-differential encoding and the coherent chain's preamble.
+differential encoding, the coherent chain's preamble and the mode
+controller's hysteresis.
 
 The transmitter never forms the source chips or runs the encoder:
 phy_frames.build_frame gathers rows of the pre-encoded table, and each
@@ -10,7 +11,12 @@ framer and both receiver chains against these plain forms.
 import numpy as np
 
 from dualmodem import phy_frames as pf
+from dualmodem.mode_controller import K_UP, MODE_MSK, MODE_QPSK
 from dualmodem.tx_oqpsk import chip_amplitudes
+
+# Consecutive poor verdicts that demote msk to qpsk in the reference
+# controller.
+K_DOWN = 1
 
 
 def spread_symbols(symbols) -> np.ndarray:
@@ -40,3 +46,20 @@ def preamble_reference_symbols() -> np.ndarray:
     """The 128 complex QPSK symbols of the encoded, sign-adjusted preamble."""
     amps = chip_amplitudes(differential_encode(pf.PREAMBLE_CHIPS))
     return amps[0::2] + 1j * amps[1::2]
+
+
+def step_mode_with_poor_run(state, good):
+    """The controller with a demotion count of its own: K_UP consecutive
+    good verdicts promote qpsk to msk and K_DOWN consecutive poor ones
+    demote msk to qpsk.  state is (mode, good_run, poor_run, switch_count)."""
+    mode, good_run, poor_run, switch_count = state
+    good_run = good_run + 1 if good else 0
+    poor_run = 0 if good else poor_run + 1
+    new_mode = mode
+    if mode == MODE_QPSK and good_run >= K_UP:
+        new_mode = MODE_MSK
+        good_run = 0
+    elif mode == MODE_MSK and poor_run >= K_DOWN:
+        new_mode = MODE_QPSK
+        poor_run = 0
+    return new_mode, good_run, poor_run, switch_count + (new_mode != mode)

@@ -82,6 +82,9 @@ def test_fft_op_counts_closed_form():
     assert mults == 3 * 128 * 7 - 5 * 256 + 8
     with pytest.raises(ValueError):
         fft_op_counts(100)
+    # The receiver's FFT rule: a power of two of at least 64 bins.
+    with pytest.raises(ValueError):
+        fft_op_counts(32)
 
 
 def test_counts_scale_with_parameters():
@@ -98,6 +101,11 @@ def test_params_validation():
         ComplexityParams(n_sample=15)
     with pytest.raises(ValueError):
         ComplexityParams(n_bits=6)
+    # The receiver refuses these too (RxConfig).
+    with pytest.raises(ValueError):
+        ComplexityParams(n_fft=32)
+    with pytest.raises(ValueError):
+        ComplexityParams(n_bits=0)
     with pytest.raises(ValueError):
         ComplexityParams(l_pulses=0)
     with pytest.raises(ValueError):

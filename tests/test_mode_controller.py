@@ -1,9 +1,13 @@
 """Tests for the SNR-driven mode controller."""
 
+import itertools
+
 import pytest
 
 from dualmodem import sim_harness
 from dualmodem.mode_controller import MODE_MSK, MODE_QPSK, ModeState, step_mode
+
+from frame_reference import step_mode_with_poor_run
 
 
 def _run(verdicts):
@@ -63,3 +67,16 @@ def test_mode_state_validation():
     with pytest.raises(ValueError):
         ModeState(mode="fsk")
 
+
+
+def test_matches_the_controller_with_a_demotion_count():
+    # Demoting on one poor verdict is the K_DOWN = 1 case of a controller
+    # that counts consecutive poor verdicts, on every 12-verdict sequence.
+    for verdicts in itertools.product((False, True), repeat=12):
+        state = ModeState()
+        ref = (state.mode, state.good_run, 0, state.switch_count)
+        for good in verdicts:
+            state = step_mode(state, good)
+            ref = step_mode_with_poor_run(ref, good)
+            assert (state.mode, state.good_run, state.switch_count) == (
+                ref[0], ref[1], ref[3]), verdicts

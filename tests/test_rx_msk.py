@@ -407,7 +407,7 @@ def test_demodulate_books_the_frame_sync_search_of_a_found_frame():
 
 
 def _finish(chips, frame_start=0):
-    return finish_frame(DemodReport(mode="msk", frame_found=False), chips, frame_start)
+    return finish_frame(DemodReport(mode="msk"), chips, frame_start)
 
 
 def test_finish_frame_counts_preamble_matches():

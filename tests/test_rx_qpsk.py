@@ -152,12 +152,15 @@ def test_elg_monte_carlo_5db():
 def test_elg_validation():
     signs = [1.0] * 40
     buf = matched_filter(_pulse_rail(40, 0, signs))
+    # The early and late taps sit ELG_DELTA = 2 samples off the candidate,
+    # inside one chip only above sps = 2.
+    elg_timing(matched_filter(_pulse_rail(40, 0, signs, sps=4)), initial_phase=0)
+    with pytest.raises(ValueError, match="ELG_DELTA"):
+        elg_timing(matched_filter(_pulse_rail(40, 0, signs, sps=2)), initial_phase=0)
     with pytest.raises(ValueError):
-        elg_timing(buf, delta=SPS)
+        elg_timing(buf, l_pulses=0, initial_phase=0)
     with pytest.raises(ValueError):
-        elg_timing(buf, l_pulses=0)
-    with pytest.raises(ValueError):
-        elg_timing(_buf(np.zeros(8)))
+        elg_timing(_buf(np.zeros(8)), initial_phase=0)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +174,6 @@ def test_rb_zero_offset_noiseless():
     bin_hz = 1.0 / (2048 * T_SYM) / 4.0
     assert abs(est.f_d_hat_hz) <= bin_hz / 2
     assert abs(est.theta_hat_rad) <= 0.05
-    assert est.n_fft == 2048
 
 
 def test_rb_on_bin_tone_is_exact():
@@ -258,7 +260,7 @@ def _grid(phase, n_out):
 
 
 def _estimate(f_hat, theta_hat=0.0):
-    return CarrierEstimate(f_d_hat_hz=f_hat, theta_hat_rad=theta_hat, n_fft=2048, peak_magnitude=1)
+    return CarrierEstimate(f_d_hat_hz=f_hat, theta_hat_rad=theta_hat, peak_to_median=np.inf)
 
 
 def test_compensate_inverts_known_offset():
