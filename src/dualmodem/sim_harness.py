@@ -199,7 +199,8 @@ def _aggregate_point(cfg: SweepConfig, snr_db: float, records: list[PacketRecord
     else:
         bit_errors = sum(r.bit_errors for r in records)
         denom = packets * cfg.payload_bits
-    ber = bit_errors / denom if denom else 0.0
+    # With missed frames excluded and none detected, the BER is undefined.
+    ber = bit_errors / denom if denom else float("nan")
     packet_errors = sum(1 for r in records if r.bit_errors > 0 or not r.frame_found)
     adds = sum(per_chain[r.mode].additions_total for r in records)
     mults = sum(per_chain[r.mode].multiplications_total for r in records)

@@ -1,6 +1,7 @@
 """Tests for the batch simulation driver and CLI."""
 
 import hashlib
+import math
 import os
 import platform
 import re
@@ -260,10 +261,12 @@ def test_exclude_missed_changes_denominator():
     with_missed = ber_sweep(cfg).points[0]
     assert with_missed.frames_detected == 0
     assert with_missed.ber == 1.0 and with_missed.per == 1.0
-    excl = ber_sweep(_tiny_cfg(snr_start_db=-30.0, snr_stop_db=-30.0, packets_per_point=10,
-                               exclude_missed=True)).points[0]
-    assert excl.ber == 0.0  # nothing detected, nothing counted
-    assert excl.frames_missed == 10
+    result = ber_sweep(_tiny_cfg(snr_start_db=-30.0, snr_stop_db=-30.0, packets_per_point=10,
+                                 exclude_missed=True))
+    excl = result.points[0]
+    assert math.isnan(excl.ber)  # nothing detected, no bit to count
+    assert excl.per == 1.0 and excl.frames_missed == 10
+    assert ",nan,1," in sweep_csv(result)
 
 
 # The stages the sweep benchmark traces by replacing module attributes from
