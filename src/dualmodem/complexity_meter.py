@@ -48,8 +48,6 @@ class ComplexityParams:
     n_preamble: preamble symbols correlated per frame-sync search.
     n_bits: payload bits per frame.
     n_fft: carrier-recovery transform length.
-
-    n_bits and n_fft obey the receiver's rules (RxConfig).
     """
 
     l_pulses: int = 32

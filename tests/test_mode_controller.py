@@ -68,7 +68,6 @@ def test_mode_state_validation():
         ModeState(mode="fsk")
 
 
-
 def test_matches_the_controller_with_a_demotion_count():
     # Demoting on one poor verdict is the K_DOWN = 1 case of a controller
     # that counts consecutive poor verdicts, on every 12-verdict sequence.

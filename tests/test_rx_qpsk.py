@@ -647,8 +647,16 @@ def test_demodulate_pure_noise_reports_no_frame():
 
 
 def test_demodulate_short_buffer():
+    # Below one preamble at sps = 8 (1,024 samples) the chain still runs
+    # each stage whose own minimum the buffer meets, as the msk chain does:
+    # timing from 2 * sps samples, the carrier from 64 symbols.
     report = demodulate(_buf(np.zeros(100)))
     assert not report.frame_found
+    assert report.timing is not None and report.carrier is None
+    rng = np.random.default_rng(19)
+    report = demodulate(_buf(rng.standard_normal(1_023) + 1j * rng.standard_normal(1_023)))
+    assert not report.frame_found
+    assert report.timing is not None and report.carrier is not None
 
 
 def test_demodulate_theta_grid():
