@@ -146,20 +146,30 @@ def earliest_peak(metric: np.ndarray) -> tuple[float, int]:
     return float(metric[lag]), lag
 
 
-def finish_frame(report: DemodReport, source_chips, frame_start: int, counter=None) -> DemodReport:
-    """Fill in a found frame from its source (pre-encoding) chip stream.
+def finish_frame(report: DemodReport, decisions, start: int, sps: int, cfg: RxConfig,
+                 counter, to_source=None) -> DemodReport:
+    """The frame tail of both chains: decode the frame whose first chip is
+    decision `start`, unless it overruns `decisions`.
 
-    Counts the preamble chips that match the known preamble (the SNR
-    indicator: 256 minus the Hamming distance), despreads the payload chips
-    that follow it, and records where the frame starts.
+    Both chains decide chips on a grid that starts one chip early, so that
+    a timing phase one sample under the truth (tau_hat = truth - 1 mod sps,
+    which advances every decision by a chip) keeps the whole frame on it;
+    the frame starts at sample report.timing.tau_hat + (start - 1) * sps.
+    `to_source` maps the frame's decisions to its source (pre-encoding)
+    chips, which they already are without it.  Counts the preamble chips
+    that match the known preamble (the SNR indicator: 256 minus the Hamming
+    distance) and despreads the payload chips that follow it.
     """
-    chips = phy_frames.as_bits(source_chips, "chips")
+    n_chips = phy_frames.FrameLayout(payload_bits=cfg.payload_bits).total_chips
+    if start + n_chips > len(decisions):
+        return report
+    frame = decisions[start : start + n_chips]
+    chips = phy_frames.as_bits(frame if to_source is None else to_source(frame), "chips")
     preamble = phy_frames.PREAMBLE_CHIPS
     n = preamble.size
-    report.frame_start = frame_start
+    report.frame_start = report.timing.tau_hat + (start - 1) * sps
     report.preamble_match_count = n - int(np.count_nonzero(chips[:n] ^ preamble))
     symbols, _ = phy_frames.despread_stream(chips[n:])
-    if counter is not None:
-        counter.tally_despread(symbols.size)
+    counter.tally_despread(symbols.size)
     report.payload_bits = phy_frames.symbols_to_bits(symbols)
     return report

@@ -3,10 +3,11 @@
 Two layers live here.  The closed forms (msk_op_counts, qpsk_op_counts) price
 each pipeline stage from its parameters, using the canonical radix-2
 transform cost for the FFT stage regardless of how the runtime computes its
-spectra.  RuntimeCounters optionally rides along an instrumented run and
-tallies what the stages actually did, for cross-checking the closed forms:
-each demodulator books the stages it ran, right after calling them, and
-the stages themselves never see it.
+spectra.  RuntimeCounters rides along every receiver run and tallies what
+the stages actually did, for cross-checking the closed forms: each
+demodulator, and the frame tail they share, books the stages it ran, right
+after calling them, into the caller's counter or a fresh one, and the
+stages themselves never see it.
 
 Counting conventions worth knowing:
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import phy_frames
 from ._rxtypes import RxConfig, check_n_fft
-from .tx_oqpsk import DEFAULT_SPS
+from .tx_oqpsk import DEFAULT_SPS, check_sps
 
 STAGE_STR = "Symbol Timing Recovery"
 STAGE_MF_STR = "Matched Filter and Symbol Timing Recovery"
@@ -57,11 +58,12 @@ class ComplexityParams:
     n_fft: int = RxConfig.n_fft
 
     def __post_init__(self):
-        for name in ("l_pulses", "n_sample", "n_preamble"):
+        for name in ("l_pulses", "n_preamble"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.n_sample % 2:
             raise ValueError("n_sample must be even")
+        check_sps(self.n_sample // 2)  # the sample rates the chains run at
         RxConfig(self.n_bits, self.n_fft)  # validates the payload length and FFT size
 
 
@@ -224,22 +226,19 @@ _RUNTIME_STAGES = (
 
 @dataclass
 class RuntimeCounters:
-    """Arithmetic tallies accumulated by an instrumented receiver run.
+    """Arithmetic tallies of receiver runs, booked by the two demodulate
+    functions and their shared tail (see the module docstring).
 
-    The chains book them: rx_qpsk.demodulate and rx_msk.demodulate each
-    call a tally method after every stage they ran, at the sizes they
-    called it with, and their shared tail _rxtypes.finish_frame books the
-    despreading.  Frame-sync and chip-to-symbol tallies reproduce the
-    closed forms exactly (same conventions).  Matched filter and
-    differential detection are booked per output the receivers actually
-    form, one per chip decision, at the canonical cost of each output: a
-    filter with real taps costs two real MACs per tap, one tuned to a
-    carrier estimate (complex taps) a complex MAC per tap.  The carrier
-    fields (fft_adds, fft_mults; "Frequency and Phase Synchronization")
-    hold the FFT, an effort estimate since numpy's FFT is not the counted
-    radix-2 algorithm, plus compensate's work on gate-open packets: per
-    decision one multiply-add for its phase and one complex multiply to
-    rotate it.
+    Frame-sync and chip-to-symbol tallies reproduce the closed forms
+    exactly (same conventions).  Matched filter and differential detection
+    are booked per output the receivers actually form, one per chip
+    decision, at the canonical cost of each output: a filter with real
+    taps costs two real MACs per tap, one tuned to a carrier estimate
+    (complex taps) a complex MAC per tap.  The carrier fields (fft_adds,
+    fft_mults; "Frequency and Phase Synchronization") hold the FFT, an
+    effort estimate since numpy's FFT is not the counted radix-2
+    algorithm, plus compensate's work on gate-open packets: per decision
+    one multiply-add for its phase and one complex multiply to rotate it.
     """
 
     frame_sync_adds: int = 0
@@ -257,10 +256,12 @@ class RuntimeCounters:
     diff_mults: int = 0
 
     def tally_correlation_search(self, ref_len: int, n_lags: int) -> None:
-        """One frame-sync search; booked per search, not per lag."""
-        self.frame_sync_adds += (ref_len - 1) ** 2
-        self.frame_sync_mults += ref_len**2
-        self.lags_searched += int(n_lags)
+        """One frame-sync search; booked per search, not per lag.  With no
+        lag (input shorter than the reference) there is no search to book."""
+        if n_lags > 0:
+            self.frame_sync_adds += (ref_len - 1) ** 2
+            self.frame_sync_mults += ref_len**2
+            self.lags_searched += int(n_lags)
 
     def tally_despread(self, n_symbols: int) -> None:
         self.despread_adds += 31 * 16 * n_symbols

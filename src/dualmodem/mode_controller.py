@@ -25,7 +25,6 @@ class ModeState:
 
     mode: str = MODE_QPSK
     good_run: int = 0
-    switch_count: int = 0
 
     def __post_init__(self):
         if self.mode not in (MODE_QPSK, MODE_MSK):
@@ -46,8 +45,4 @@ def step_mode(state: ModeState, good: bool) -> ModeState:
         good_run = 0
     elif state.mode == MODE_MSK and not good:
         mode = MODE_QPSK
-    return ModeState(
-        mode=mode,
-        good_run=good_run,
-        switch_count=state.switch_count + (mode != state.mode),
-    )
+    return ModeState(mode=mode, good_run=good_run)

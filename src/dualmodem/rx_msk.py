@@ -26,6 +26,7 @@ from ._rxtypes import (
     finish_frame,
     msk_timing,
 )
+from .complexity_meter import RuntimeCounters
 from .tx_oqpsk import IqBuffer
 
 DIFF_DETECT_EPS = 1e-12
@@ -66,12 +67,9 @@ def detect_chips(y: np.ndarray) -> np.ndarray:
     """Hard chip decisions on diff_detect's output: a positive phase ramp
     means chip 1, and exact zeros (e.g. dead air) decide 0.
 
-    y[0] has no lagged sample, so the first chip always decides 0.  Keeping
-    it keeps the whole frame on the decision grid when the timing phase
-    lands one sample early (tau_hat = truth - 1 mod sps shifts the chip
-    stream forward by one; without that chip the frame would overrun the
-    buffer tail and be dropped), which is why demodulate books only the
-    other y.size - 1 chips as decisions.
+    y[0] has no lagged sample, so the first chip always decides 0.  It is
+    kept as the grid's early chip (_rxtypes.finish_frame), and demodulate
+    books only the other y.size - 1 chips as decisions.
     """
     return (y > 0).astype(np.uint8)
 
@@ -98,25 +96,21 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     """Full non-coherent chain: timing, phase-difference detection, frame
     sync, despreading.  No carrier estimate is produced or needed."""
     cfg = cfg or RxConfig()
+    counter = counter or RuntimeCounters()
     buf = erase_non_finite(buf)
-    layout = phy_frames.FrameLayout(payload_bits=cfg.payload_bits)
     sps = buf.sps
 
     report = DemodReport(mode="msk")
     if buf.samples.size < 2 * sps:
         return report
-    stat = msk_timing(buf)
-    report.timing = stat
-    chips = detect_chips(diff_detect(buf, stat.tau_hat))
+    report.timing = msk_timing(buf)
+    chips = detect_chips(diff_detect(buf, report.timing.tau_hat))
     found, c0 = frame_sync_msk(chips)
-    if counter is not None:
-        # Lag products and decisions at every chip instant but the first.
-        counter.tally_diff_detect(chips.size - 1)
-        counter.tally_bit_decisions(chips.size - 1)
-        n_ref = phy_frames.PREAMBLE_CHIPS.size
-        if chips.size >= n_ref:
-            counter.tally_correlation_search(n_ref, chips.size - n_ref + 1)
-    if not found or c0 + layout.total_chips > chips.size:
+    # Lag products and decisions at every chip instant but the first.
+    counter.tally_diff_detect(chips.size - 1)
+    counter.tally_bit_decisions(chips.size - 1)
+    n_ref = phy_frames.PREAMBLE_CHIPS.size
+    counter.tally_correlation_search(n_ref, chips.size - n_ref + 1)
+    if not found:
         return report
-    frame = chips[c0 : c0 + layout.total_chips]
-    return finish_frame(report, frame, stat.tau_hat + (c0 - 1) * sps, counter)
+    return finish_frame(report, chips, c0, sps, cfg, counter)

@@ -44,6 +44,7 @@ from ._rxtypes import (
     finish_frame,
     msk_timing,
 )
+from .complexity_meter import RuntimeCounters
 from .tx_oqpsk import IqBuffer, chip_amplitudes, half_sine_taps
 
 RB_POWER = 4  # modulation-stripping exponent for QPSK constellations
@@ -276,8 +277,8 @@ def _preamble_peak(symbols):
 def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> DemodReport:
     """Full coherent chain; see the module docstring for the stage order."""
     cfg = cfg or RxConfig()
+    counter = counter or RuntimeCounters()
     buf = erase_non_finite(buf)
-    layout = phy_frames.FrameLayout(payload_bits=cfg.payload_bits)
     sps = buf.sps
     z = buf.samples
 
@@ -286,9 +287,8 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
         return report
 
     # Chip-boundary sampling phase, rotation-immune (see module docstring).
-    stat = msk_timing(buf)
-    phi0 = stat.tau_hat
-    report.timing = stat
+    report.timing = msk_timing(buf)
+    phi0 = report.timing.tau_hat
 
     # Carrier estimation on raw symbol-spaced boundary samples, where the
     # MSK phase grid makes z^4 a pure tone at 4*f_d.
@@ -298,8 +298,7 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
         return report
     est = rb_carrier_estimate(sym_raw, t_sym, n_fft=cfg.n_fft)
     report.carrier = est
-    if counter is not None:
-        counter.tally_fft(cfg.n_fft)
+    counter.tally_fft(cfg.n_fft)
 
     # Matched-filter, then compensate the chip decisions.  At low SNR the
     # power-of-four spectrum degenerates to noise and its argmax is a random
@@ -309,55 +308,50 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # otherwise the buffer is filtered as it is, which is what compensating
     # by a zero estimate would give.
     gate_open = est.peak_to_median >= RB_CONFIDENCE_MIN
-    # Chip-rate decision samples: chip r's filtered peak sits one chip after
-    # its raw boundary phi0 + (r+1)*sps.  The grid starts one chip early so
-    # that a timing phase one sample under the truth (tau_hat = truth - 1
-    # mod sps, which advances every decision by a chip) still leaves the
-    # whole frame inside the slice.
+    # Chip decision r is chip r's filtered peak, one chip after its raw
+    # boundary: sample phi0 + (r+1)*sps, on finish_frame's early grid.
     f_hz = est.f_d_hat_hz if gate_open else 0.0
     x = matched_filter(buf, phase=phi0, f_hz=f_hz)
-    if counter is not None:
-        # A nonzero frequency tunes the taps, which makes them complex.
-        tally = counter.tally_tuned_filter if f_hz else counter.tally_matched_filter
-        tally(x.size, 2 * sps)
+    # A nonzero frequency tunes the taps, which makes them complex.
+    tally = counter.tally_tuned_filter if f_hz else counter.tally_matched_filter
+    tally(x.size, 2 * sps)
     if gate_open:
         instants = range(phi0 + sps, phi0 + sps * (x.size + 1), sps)
         x = compensate(x, est, instants, buf.sample_period_s)
-        if counter is not None:
-            counter.tally_compensate(x.size)
+        counter.tally_compensate(x.size)
 
     # The preamble correlator runs at symbol rate; pairing consecutive
-    # boundary samples re-forms QPSK symbols.  Both chip parities of the
-    # frame start are tried and the stronger peak wins; a parity whose
-    # symbols hold no whole preamble peaks at 0 (_preamble_peak).
+    # boundary samples re-forms QPSK symbols, those of chip parity p being
+    # pairs[p::2].  Both parities of the frame start are tried and the
+    # stronger peak wins; a parity whose symbols hold no whole preamble
+    # peaks at 0 (_preamble_peak).
+    pairs = x[:-1] + x[1:]
     candidates = []
     for parity in (0, 1):
-        n = (x.size - parity) // 2
-        u = x[parity : parity + 2 * n : 2] + x[parity + 1 : parity + 2 * n + 1 : 2]
+        u = pairs[parity::2]
         candidates.append((*_preamble_peak(u), parity))
-        if counter is not None and u.size >= _REFERENCE_SIZE:
-            counter.tally_correlation_search(_REFERENCE_SIZE, u.size - _REFERENCE_SIZE + 1)
+        counter.tally_correlation_search(_REFERENCE_SIZE, u.size - _REFERENCE_SIZE + 1)
     # max keeps the first of equal peaks: parity 1 wins only on a strictly greater one.
     peak, m0, delta_hat, parity = max(candidates, key=lambda c: c[0])
-    r0 = 2 * m0 + parity
-    if not peak >= SYNC_THRESHOLD or r0 + layout.total_chips > x.size:
+    if not peak >= SYNC_THRESHOLD:
         return report
-
-    # Slice chips on their own rail axis; the data-aided correlation angle
-    # removes the residual rotation, and cross-rail spill is orthogonal to
-    # the decision axis at the correct instants.  Each rail derotates only
-    # the component it decides.
     rot = complex(np.exp(-1j * delta_hat))
-    xs = x[r0 : r0 + layout.total_chips]
-    i_rail, q_rail = xs[0::2], xs[1::2]
-    sliced = np.empty(layout.total_chips, dtype=np.uint8)
-    sliced[0::2] = i_rail.real * rot.real - i_rail.imag * rot.imag > 0
-    sliced[1::2] = q_rail.real * rot.imag + q_rail.imag * rot.real > 0
-    # Undo the differential encoding and the modulator's sign pattern
-    # P = 0110.  P[k] ^ P[k-1] = k mod 2, so undoing P before the decode is
-    # flipping every odd chip after it: O-QPSK read as MSK, whose ramp at
-    # chip k is the source chip.
-    source = phy_frames.differential_decode(sliced)
-    source[1::2] ^= 1
-    return finish_frame(report, source, phi0 + (r0 - 1) * sps, counter)
 
+    def source_chips(xs):
+        # Slice chips on their own rail axis; the data-aided correlation
+        # angle removes the residual rotation, and cross-rail spill is
+        # orthogonal to the decision axis at the correct instants.  Each
+        # rail derotates only the component it decides.
+        i_rail, q_rail = xs[0::2], xs[1::2]
+        sliced = np.empty(xs.size, dtype=np.uint8)
+        sliced[0::2] = i_rail.real * rot.real - i_rail.imag * rot.imag > 0
+        sliced[1::2] = q_rail.real * rot.imag + q_rail.imag * rot.real > 0
+        # Undo the differential encoding and the modulator's sign pattern
+        # P = 0110.  P[k] ^ P[k-1] = k mod 2, so undoing P before the
+        # decode is flipping every odd chip after it: O-QPSK read as MSK,
+        # whose ramp at chip k is the source chip.
+        source = phy_frames.differential_decode(sliced)
+        source[1::2] ^= 1
+        return source
+
+    return finish_frame(report, x, 2 * m0 + parity, sps, cfg, counter, source_chips)

@@ -49,6 +49,9 @@ MODE_AUTO = "auto"
 _CHAINS = {MODE_QPSK: rx_qpsk, MODE_MSK: rx_msk}
 _MODES = (*_CHAINS, MODE_AUTO)
 
+# An SNR grid spans fewer steps than this: more than any sweep runs, few to build.
+MAX_SNR_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -76,6 +79,9 @@ class SweepConfig:
             raise ValueError("snr_step_db must be positive")
         if self.snr_stop_db < self.snr_start_db:
             raise ValueError("snr_stop_db must not lie below snr_start_db")
+        if not (self.snr_stop_db - self.snr_start_db) / self.snr_step_db < MAX_SNR_STEPS:
+            raise ValueError(f"snr_start_db to snr_stop_db spans {MAX_SNR_STEPS} snr_step_db"
+                             " steps or more")
         check_sps(self.sps)
         for name in ("packets_per_point", "payload_bits", "n_fft", "master_seed",
                      "match_threshold"):
@@ -96,7 +102,7 @@ class SweepConfig:
 
     def snr_grid(self) -> np.ndarray:
         n = int(np.floor((self.snr_stop_db - self.snr_start_db) / self.snr_step_db + 1e-9)) + 1
-        return self.snr_start_db + self.snr_step_db * np.arange(max(n, 0))
+        return self.snr_start_db + self.snr_step_db * np.arange(n)
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,8 @@ def preamble_reference_symbols() -> np.ndarray:
 def step_mode_with_poor_run(state, good):
     """The controller with a demotion count of its own: K_UP consecutive
     good verdicts promote qpsk to msk and K_DOWN consecutive poor ones
-    demote msk to qpsk.  state is (mode, good_run, poor_run, switch_count)."""
-    mode, good_run, poor_run, switch_count = state
+    demote msk to qpsk.  state is (mode, good_run, poor_run)."""
+    mode, good_run, poor_run = state
     good_run = good_run + 1 if good else 0
     poor_run = 0 if good else poor_run + 1
     new_mode = mode
@@ -62,4 +62,4 @@ def step_mode_with_poor_run(state, good):
     elif mode == MODE_MSK and poor_run >= K_DOWN:
         new_mode = MODE_QPSK
         poor_run = 0
-    return new_mode, good_run, poor_run, switch_count + (new_mode != mode)
+    return new_mode, good_run, poor_run

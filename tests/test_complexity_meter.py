@@ -99,6 +99,10 @@ def test_params_validation():
         ComplexityParams(n_fft=1000)
     with pytest.raises(ValueError):
         ComplexityParams(n_sample=15)
+    # n_sample is two chips' worth of samples, at an sps some chain runs.
+    for n_sample in (6, 2, 0):
+        with pytest.raises(ValueError, match="sps"):
+            ComplexityParams(n_sample=n_sample)
     with pytest.raises(ValueError):
         ComplexityParams(n_bits=6)
     # The receiver refuses these too (RxConfig).
@@ -155,6 +159,10 @@ def test_tally_correlation_search_books_per_search():
     assert c.lags_searched == 500
     c.tally_correlation_search(64, 1)
     assert c.frame_sync_mults == 2 * 64**2
+    # Input shorter than the reference leaves no lag, so no search ran.
+    for n_lags in (0, -5):
+        c.tally_correlation_search(64, n_lags)
+    assert (c.frame_sync_mults, c.frame_sync_adds, c.lags_searched) == (2 * 64**2, 2 * 63**2, 501)
 
 
 def test_tally_despread_matches_closed_form():

@@ -10,6 +10,7 @@ from dualmodem._rxtypes import (
     SYNC_THRESHOLD,
     TIMING_WINDOW_SYMBOLS,
     DemodReport,
+    MskTimingStat,
     RxConfig,
     comb_correlate,
     earliest_peak,
@@ -406,8 +407,9 @@ def test_demodulate_books_the_frame_sync_search_of_a_found_frame():
 # ---------------------------------------------------------------------------
 
 
-def _finish(chips, frame_start=0):
-    return finish_frame(DemodReport(mode="msk"), chips, frame_start)
+def _finish(decisions, start, tau_hat=0):
+    report = DemodReport(mode="msk", timing=MskTimingStat(v=np.ones(SPS), tau_hat=tau_hat))
+    return finish_frame(report, decisions, start, SPS, RxConfig(40), RuntimeCounters())
 
 
 def test_finish_frame_counts_preamble_matches():
@@ -415,26 +417,29 @@ def test_finish_frame_counts_preamble_matches():
     rng = np.random.default_rng(0)
     payload = rng.integers(0, 2, 40).astype(np.uint8)
     source = frame_source_chips(payload)
-    assert _finish(source).preamble_match_count == 256
+    assert _finish(source, 0).preamble_match_count == 256
     flipped = source.copy()
     flipped[rng.choice(256, 13, replace=False)] ^= 1
-    report = _finish(flipped, frame_start=7)
+    # Decision 3 on a grid that starts a chip early is chip 2 of the buffer.
+    report = _finish(np.concatenate((np.zeros(3, np.uint8), flipped)), 3, tau_hat=5)
     assert report.preamble_match_count == 243
-    assert report.frame_found and report.frame_start == 7
+    assert report.frame_found and report.frame_start == 5 + 2 * SPS
     assert np.array_equal(report.payload_bits, payload)
-    with pytest.raises(ValueError):
-        _finish(source[:128])
+    # A frame that overruns the decisions is no frame.
+    for decisions, start in ((source[:-1], 0), (source, 1)):
+        report = _finish(decisions, start)
+        assert not report.frame_found and report.frame_start is None
 
 
 def test_finish_frame_rejects_non_binary_chips():
     # A cast to uint8 would read 0.9 as chip 0 and match half the preamble.
     source = frame_source_chips(np.zeros(40, dtype=np.uint8))
     with pytest.raises(ValueError, match="0/1"):
-        _finish(np.full(source.size, 0.9))
+        _finish(np.full(source.size, 0.9), 0)
     two_in_preamble = source.copy()
     two_in_preamble[3] = 2
     with pytest.raises(ValueError, match="0/1"):
-        _finish(two_in_preamble)
+        _finish(two_in_preamble, 0)
 
 
 @pytest.mark.parametrize("chain", [demodulate, demodulate_qpsk], ids=["msk", "qpsk"])

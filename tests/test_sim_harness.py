@@ -105,6 +105,10 @@ def test_sweep_config_validation():
                 SweepConfig(**{field: value})
     with pytest.raises(ValueError, match="snr_stop_db"):
         SweepConfig(snr_start_db=4.0, snr_stop_db=2.0)
+    # A grid too large to build: finite, and with an infinite span.
+    for start, stop, step in ((-20.0, 14.0, 1e-6), (-1e308, 1e308, 2.0)):
+        with pytest.raises(ValueError, match="snr_step_db steps"):
+            SweepConfig(snr_start_db=start, snr_stop_db=stop, snr_step_db=step)
     for sps in (0, 1, 3, 7, -2):
         with pytest.raises(ValueError, match="sps"):
             SweepConfig(sps=sps)
@@ -463,6 +467,8 @@ def test_cli_rejects_zero_settings(tmp_path):
         main(["sweep", "--snr-start", "4", "--snr-stop", "2", "--packets", "1"])
     with pytest.raises(ValueError, match="finite"):
         main(["sweep", "--snr-start", "nan", "--packets", "1"])
+    with pytest.raises(ValueError, match="snr_stop_db"):
+        main(["sweep", "--snr-start=-1e308", "--snr-stop=1e308", "--packets", "1"])
     with pytest.raises(ValueError, match="master_seed"):
         main(["sweep", "--seed", "-1", "--workers", "2", "--packets", "1"])
 
