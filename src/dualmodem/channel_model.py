@@ -4,6 +4,9 @@ Applies z[n] = exp(j*(2*pi*f_d*n*T_s + theta)) * x[n - tau] + w[n] with
 complex white Gaussian noise of variance sigma^2 = 10^(-snr_db/10) against a
 unit-power signal.  SNR is therefore defined per complex sample at the
 oversampled rate, which is the convention used throughout the simulations.
+The carrier ramp comes from two short phasor tables (`phasor_ramp`), so its
+phasors match exp of the directly formed phase to float64 rounding, not bit
+for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tx_oqpsk import IqBuffer
+
+# Columns of phasor_ramp's fine table: the ramp's row length.  A power of
+# two, so that w * RAMP_COLUMNS is exact.
+RAMP_COLUMNS = 128
 
 
 @dataclass
@@ -54,43 +61,52 @@ def noise_sigma(snr_db: float) -> float:
 
 
 def phasor_ramp(size: int, f_hz: float, sample_period_s: float, theta_rad: float) -> np.ndarray:
-    """exp(j*(2*pi*f_hz*n*sample_period_s + theta_rad)) for n = 0..size-1.
+    """exp(j*(w*n + theta_rad)) for n = 0..size-1, w = 2*pi*f_hz*sample_period_s.
 
-    The phase is built in place in one float array and exponentiated in
-    place in the complex result, so the call allocates no other full-length
-    array.
+    A phase-decomposed phasor synthesizer (Tierney, Rader & Gold, "A digital
+    frequency synthesizer", 1971): with n = RAMP_COLUMNS*q + r, the angle-sum
+    identity makes the ramp the outer product of a coarse table
+    exp(j*(w*RAMP_COLUMNS*q + theta_rad)) over ceil(size/RAMP_COLUMNS) rows
+    and a fine table exp(j*w*r) over RAMP_COLUMNS columns.  A 16,456-sample
+    ramp costs 257 complex exps and one broadcast multiply, and no
+    full-length phase array is formed.  Against exp of the directly formed
+    phase it differs by float64 rounding only, a few eps of the largest
+    phase, the size of that phase's own rounding.
     """
-    phase = np.arange(size, dtype=np.float64)
-    phase *= 2.0 * np.pi * f_hz
-    phase *= sample_period_s
-    phase += theta_rad
-    rot = np.empty(size, dtype=np.complex128)
-    rot.real = 0.0
-    rot.imag = phase
-    return np.exp(rot, out=rot)
+    w = 2.0 * np.pi * f_hz * sample_period_s
+    coarse = np.exp(1j * (w * RAMP_COLUMNS * np.arange(-(-size // RAMP_COLUMNS)) + theta_rad))
+    fine = np.exp(1j * w * np.arange(RAMP_COLUMNS))
+    return np.multiply(coarse[:, None], fine).reshape(-1)[:size]
 
 
 def apply(buf: IqBuffer, params: ChannelParams) -> IqBuffer:
     """Run a buffer through the impairment channel.
 
     The output is extended by the delay so no signal falls off the end;
-    rotation uses absolute output-sample time, and with f_d = 0 it is a
-    single phasor.  The noise is added to the output in place: first
-    its real draws, then its imaginary ones, both drawn into one array.
+    rotation uses absolute output-sample time.  With f_d != 0 the output
+    is a `phasor_ramp` that the delayed signal is multiplied into in place,
+    so the channel holds no second full-length array; with f_d = 0 the
+    rotation is a single phasor.  The noise is added to the output in
+    place: first its real draws, then its imaginary ones, both drawn into
+    one array.
     """
     check_offset(params.f_d_hz, buf.chip_rate_hz)
     x = buf.samples
-    if params.tau_samples == 0:
-        out = x.copy()
-    else:
-        d = int(params.tau_samples)
-        out = np.zeros(x.size + d, dtype=np.complex128)
-        out[d : d + x.size] = x
-
+    d = int(params.tau_samples)
     if params.f_d_hz != 0.0:
-        out *= phasor_ramp(out.size, params.f_d_hz, buf.sample_period_s, params.theta_rad)
-    elif params.theta_rad != 0.0:
-        out *= np.exp(1j * params.theta_rad)
+        # The lead is silence times the ramp, which keeps the zero signs of
+        # that product; x stays the first factor, as in x * ramp.
+        out = phasor_ramp(x.size + d, params.f_d_hz, buf.sample_period_s, params.theta_rad)
+        out[:d] *= 0.0
+        np.multiply(x, out[d:], out=out[d:])
+    else:
+        if d == 0:
+            out = x.copy()
+        else:
+            out = np.zeros(x.size + d, dtype=np.complex128)
+            out[d : d + x.size] = x
+        if params.theta_rad != 0.0:
+            out *= np.exp(1j * params.theta_rad)
 
     if params.snr_db is not None:
         rng = np.random.default_rng(params.seed)

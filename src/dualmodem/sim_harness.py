@@ -98,7 +98,7 @@ class SweepConfig:
         ChannelParams(self.f_d_hz, theta, self.tau_samples)  # validates the impairments
         check_offset(self.f_d_hz, CHIP_RATE_HZ)
         if not 0 <= self.match_threshold <= phy_frames.PREAMBLE_CHIPS.size:
-            raise ValueError("match_threshold must lie in [0, 256]")
+            raise ValueError(f"match_threshold must lie in [0, {phy_frames.PREAMBLE_CHIPS.size}]")
 
     def snr_grid(self) -> np.ndarray:
         n = int(np.floor((self.snr_stop_db - self.snr_start_db) / self.snr_step_db + 1e-9)) + 1
@@ -453,7 +453,7 @@ def _cmd_decode(args) -> int:
     bits = "".join(str(b) for b in report.payload_bits)
     print(f"mode: {report.mode}")
     print(f"frame_start_sample: {report.frame_start}")
-    print(f"preamble_match: {report.preamble_match_count}/256")
+    print(f"preamble_match: {report.preamble_match_count}/{phy_frames.PREAMBLE_CHIPS.size}")
     print(f"payload_bits: {bits}")
     return 0
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dualmodem.channel_model import ChannelParams, apply, noise_sigma
+from dualmodem.channel_model import RAMP_COLUMNS, ChannelParams, apply, noise_sigma, phasor_ramp
 from dualmodem.tx_oqpsk import IqBuffer
 
 
@@ -97,16 +97,47 @@ def test_impairments_compose():
     assert np.allclose(out.samples, want, atol=1e-12)
 
 
+# Bound set from float64 before measuring, per sample n, with u = eps/2,
+# w = 2*pi*f*T and X_n = |w| n + |theta|.  The direct phase is formed in
+# four roundings, so it is off by at most 4u X_n.  The ramp's w takes two
+# roundings, a row start's phase two more (w*RAMP_COLUMNS is exact) and an
+# offset's phase one, so the two phases that make sample n are off by at
+# most 4u X_n together.  Each complex exp adds at most 4u and the product
+# 4u, so the two sides part by at most u (8 X_n + 16); doubling it gives
+#   |phasor_ramp - exp(j*phase)| <= eps * (8 X_n + 16).
+# 68,680 samples is a 1,016-bit frame with a 1600-sample lead.
+@pytest.mark.parametrize("size", [0, 1, 127, 128, 129, 16_456, 68_680])
+@pytest.mark.parametrize("f_d", [12_500.0, -37_500.0, 999_999.0, -999_999.0])
+def test_phasor_ramp_matches_exp_of_direct_phase(size, f_d):
+    period = 1.0 / 16e6  # sps = 8 at 2 Mchip/s
+    n = np.arange(size)
+    eps = np.finfo(np.float64).eps
+    for theta in (-np.pi, 0.0, np.pi):
+        got = phasor_ramp(size, f_d, period, theta)
+        want = np.exp(1j * (2.0 * np.pi * f_d * n * period + theta))
+        tol = eps * (8 * (abs(2.0 * np.pi * f_d * period) * n + abs(theta)) + 16)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= tol), theta
+
+
 def _reference_apply(buf, params):
     """The channel with integer delay, as full-length expressions."""
     x = buf.samples
     out = np.zeros(x.size + int(params.tau_samples), dtype=np.complex128)
     out[int(params.tau_samples) :] = x
     if params.f_d_hz != 0.0:
-        n = np.arange(out.size)
-        out *= np.exp(
-            1j * (2.0 * np.pi * params.f_d_hz * n * buf.sample_period_s + params.theta_rad)
-        )
+        # The ramp at n = RAMP_COLUMNS*q + r as the outer product of the
+        # phasors at the row starts and the phasors of the in-row offsets.
+        # Every product is formed out of place and the tables' product as
+        # a broadcast, as in the channel: numpy rounds a product that it
+        # computes into an elided temporary of 16,384 or more samples, or
+        # against a broadcast operand, by other loops.
+        w = 2.0 * np.pi * params.f_d_hz * buf.sample_period_s
+        q = np.arange(-(-out.size // RAMP_COLUMNS))
+        r = np.arange(RAMP_COLUMNS)
+        starts = np.exp(1j * (w * RAMP_COLUMNS * q + params.theta_rad))
+        offsets = np.exp(1j * w * r)
+        out = out * np.outer(starts, offsets).ravel()[: out.size]
     elif params.theta_rad != 0.0:
         out *= np.exp(1j * params.theta_rad)
     if params.snr_db is not None:

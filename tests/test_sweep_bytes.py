@@ -33,6 +33,16 @@ PINNED = {
         dict(mode="qpsk", f_d_hz=50e3, tau_samples=1600.0),
         "1f0bd6816d85026c6ad9fbdec79750bc699904606725fa759d4a6b4aeea55bd2",
     ),
+    # The msk chain alone under a carrier rotation and a lead.
+    "msk-offset": (
+        dict(mode="msk", f_d_hz=50e3, tau_samples=1600.0),
+        "7ca55bceb9aa083cff43e76214b75f335b5f23acfd7bb9469949e6cfbeba0aba",
+    ),
+    # A negative offset, which turns the carrier ramp the other way.
+    "qpsk-negative-offset": (
+        dict(mode="qpsk", f_d_hz=-37.5e3),
+        "6f51c4cccfd6f12fac18ce440b87c4685833a9b608ae038a8f54898d79ed37e5",
+    ),
 }
 
 
