@@ -146,25 +146,25 @@ def earliest_peak(metric: np.ndarray) -> tuple[float, int]:
     return float(metric[lag]), lag
 
 
-def finish_frame(report: DemodReport, decisions, start: int, sps: int, cfg: RxConfig,
-                 counter, to_source=None) -> DemodReport:
-    """The frame tail of both chains: decode the frame whose first chip is
-    decision `start`, unless it overruns `decisions`.
+def finish_frame(report: DemodReport, chips, start: int, sps: int, cfg: RxConfig,
+                 counter) -> DemodReport:
+    """The frame tail of both chains: decode the frame from `chips`, its
+    source (pre-encoding) chips from its first chip on, unless they end
+    before the frame does.
 
-    Both chains decide chips on a grid that starts one chip early, so that
-    a timing phase one sample under the truth (tau_hat = truth - 1 mod sps,
-    which advances every decision by a chip) keeps the whole frame on it;
-    the frame starts at sample report.timing.tau_hat + (start - 1) * sps.
-    `to_source` maps the frame's decisions to its source (pre-encoding)
-    chips, which they already are without it.  Counts the preamble chips
+    `start` is the index of the frame's first chip among the chain's
+    decisions.  Both chains decide chips on a grid that starts one chip
+    early, so that a timing phase one sample under the truth (tau_hat =
+    truth - 1 mod sps, which advances every decision by a chip) keeps the
+    whole frame on it; the frame starts at sample
+    report.timing.tau_hat + (start - 1) * sps.  Counts the preamble chips
     that match the known preamble (the SNR indicator: 256 minus the Hamming
     distance) and despreads the payload chips that follow it.
     """
     n_chips = phy_frames.FrameLayout(payload_bits=cfg.payload_bits).total_chips
-    if start + n_chips > len(decisions):
+    if n_chips > len(chips):
         return report
-    frame = decisions[start : start + n_chips]
-    chips = phy_frames.as_bits(frame if to_source is None else to_source(frame), "chips")
+    chips = phy_frames.as_bits(chips[:n_chips], "chips")
     preamble = phy_frames.PREAMBLE_CHIPS
     n = preamble.size
     report.frame_start = report.timing.tau_hat + (start - 1) * sps

@@ -166,29 +166,22 @@ def differential_decode(chips) -> np.ndarray:
     return out
 
 
+# Hard chip 0/1 -> antipodal -1/+1, by lookup.
+ANTIPODAL = np.array([-1.0, 1.0])
+ANTIPODAL.flags.writeable = False
+
 # The 256-chip preamble, built once and shared read-only by the framer and
 # both receiver chains.
 PREAMBLE_CHIPS = np.tile(CHIP_TABLE[0], PREAMBLE_REPEATS)
 PREAMBLE_CHIPS.flags.writeable = False
 
 
-def encoded_rows(table: np.ndarray) -> np.ndarray:
-    """Each row of a chip table differentially encoded from seed 0, read-only.
-
-    Raises ValueError unless every encoded row ends in 0, i.e. every row
-    holds an even number of 1 chips: only then is the encoder of a whole
-    stream back at state 0 at each row boundary, so that encoding the
-    stream equals concatenating the encoded rows.
-    """
-    encoded = np.bitwise_xor.accumulate(table, axis=1)
-    if encoded[:, -1].any():
-        raise ValueError("a chip-table row holds an odd number of 1 chips")
-    encoded.flags.writeable = False
-    return encoded
-
-
-# ENCODED_TABLE[s] = CHIP_TABLE[s] differentially encoded.
-ENCODED_TABLE = encoded_rows(CHIP_TABLE)
+# ENCODED_TABLE[s] = CHIP_TABLE[s] differentially encoded from seed 0.
+# Every row holds an even number of 1 chips, so every encoded row ends in 0:
+# the encoder of a whole stream is back at state 0 at each row boundary, and
+# encoding the stream equals concatenating the encoded rows.
+ENCODED_TABLE = np.bitwise_xor.accumulate(CHIP_TABLE, axis=1)
+ENCODED_TABLE.flags.writeable = False
 _PREAMBLE_SYMBOLS = np.zeros(PREAMBLE_REPEATS, dtype=np.int64)
 
 

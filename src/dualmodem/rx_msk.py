@@ -31,12 +31,8 @@ from .tx_oqpsk import IqBuffer
 
 DIFF_DETECT_EPS = 1e-12
 
-# Hard chip 0/1 -> antipodal -1/+1, by lookup.
-ANTIPODAL = np.array([-1.0, 1.0])
-ANTIPODAL.flags.writeable = False
-
 # The antipodal chips of symbol 0, the block the preamble repeats.
-PREAMBLE_BLOCK = ANTIPODAL[phy_frames.CHIP_TABLE[0]]
+PREAMBLE_BLOCK = phy_frames.ANTIPODAL[phy_frames.CHIP_TABLE[0]]
 PREAMBLE_BLOCK.flags.writeable = False
 
 
@@ -86,7 +82,7 @@ def frame_sync_msk(chips) -> tuple[bool, int]:
     n_ref = phy_frames.PREAMBLE_CHIPS.size
     if chips.size < n_ref:
         return False, 0
-    corr = comb_correlate(ANTIPODAL[chips], PREAMBLE_BLOCK)
+    corr = comb_correlate(phy_frames.ANTIPODAL[chips], PREAMBLE_BLOCK)
     corr /= n_ref
     peak, best = earliest_peak(corr)
     return bool(peak >= SYNC_THRESHOLD), best
@@ -113,4 +109,4 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     counter.tally_correlation_search(n_ref, chips.size - n_ref + 1)
     if not found:
         return report
-    return finish_frame(report, chips, c0, sps, cfg, counter)
+    return finish_frame(report, chips[c0:], c0, sps, cfg, counter)

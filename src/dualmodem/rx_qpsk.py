@@ -45,7 +45,7 @@ from ._rxtypes import (
     msk_timing,
 )
 from .complexity_meter import RuntimeCounters
-from .tx_oqpsk import IqBuffer, chip_amplitudes, half_sine_taps
+from .tx_oqpsk import SIGN_PATTERN_BITS, IqBuffer, half_sine_taps
 
 RB_POWER = 4  # modulation-stripping exponent for QPSK constellations
 
@@ -246,7 +246,9 @@ def compensate(
 # The block the preamble repeats, as QPSK symbols: symbol 0's encoded,
 # sign-adjusted chips, paired by the complex view into I + jQ.  The sign
 # pattern has period 4 and the block 32 chips, so every copy is the same.
-PREAMBLE_BLOCK = chip_amplitudes(phy_frames.ENCODED_TABLE[0]).view(np.complex128)
+PREAMBLE_BLOCK = phy_frames.ANTIPODAL[
+    phy_frames.ENCODED_TABLE[0] ^ np.resize(SIGN_PATTERN_BITS, phy_frames.CHIPS_PER_SYMBOL)
+].view(np.complex128)
 PREAMBLE_BLOCK.flags.writeable = False
 _REFERENCE_SIZE = phy_frames.PREAMBLE_REPEATS * PREAMBLE_BLOCK.size
 _REFERENCE_ENERGY = phy_frames.PREAMBLE_REPEATS * float(np.sum(np.abs(PREAMBLE_BLOCK) ** 2))
@@ -336,22 +338,19 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     if not peak >= SYNC_THRESHOLD:
         return report
     rot = complex(np.exp(-1j * delta_hat))
-
-    def source_chips(xs):
-        # Slice chips on their own rail axis; the data-aided correlation
-        # angle removes the residual rotation, and cross-rail spill is
-        # orthogonal to the decision axis at the correct instants.  Each
-        # rail derotates only the component it decides.
-        i_rail, q_rail = xs[0::2], xs[1::2]
-        sliced = np.empty(xs.size, dtype=np.uint8)
-        sliced[0::2] = i_rail.real * rot.real - i_rail.imag * rot.imag > 0
-        sliced[1::2] = q_rail.real * rot.imag + q_rail.imag * rot.real > 0
-        # Undo the differential encoding and the modulator's sign pattern
-        # P = 0110.  P[k] ^ P[k-1] = k mod 2, so undoing P before the
-        # decode is flipping every odd chip after it: O-QPSK read as MSK,
-        # whose ramp at chip k is the source chip.
-        source = phy_frames.differential_decode(sliced)
-        source[1::2] ^= 1
-        return source
-
-    return finish_frame(report, x, 2 * m0 + parity, sps, cfg, counter, source_chips)
+    # Slice chips on their own rail axis, from the frame's first chip on;
+    # the data-aided correlation angle removes the residual rotation, and
+    # cross-rail spill is orthogonal to the decision axis at the correct
+    # instants.  Each rail derotates only the component it decides.
+    start = 2 * m0 + parity
+    i_rail, q_rail = x[start::2], x[start + 1 :: 2]
+    sliced = np.empty(x.size - start, dtype=np.uint8)
+    sliced[0::2] = i_rail.real * rot.real - i_rail.imag * rot.imag > 0
+    sliced[1::2] = q_rail.real * rot.imag + q_rail.imag * rot.real > 0
+    # Undo the differential encoding and the modulator's sign pattern
+    # P = 0110.  P[k] ^ P[k-1] = k mod 2, so undoing P before the decode is
+    # flipping every odd chip after it: O-QPSK read as MSK, whose ramp at
+    # chip k is the source chip.
+    source = phy_frames.differential_decode(sliced)
+    source[1::2] ^= 1
+    return finish_frame(report, source, start, sps, cfg, counter)

@@ -99,6 +99,8 @@ class SweepConfig:
         check_offset(self.f_d_hz, CHIP_RATE_HZ)
         if not 0 <= self.match_threshold <= phy_frames.PREAMBLE_CHIPS.size:
             raise ValueError(f"match_threshold must lie in [0, {phy_frames.PREAMBLE_CHIPS.size}]")
+        if not isinstance(self.exclude_missed, (bool, np.bool_)):
+            raise ValueError("exclude_missed must be a bool")
 
     def snr_grid(self) -> np.ndarray:
         n = int(np.floor((self.snr_stop_db - self.snr_start_db) / self.snr_step_db + 1e-9)) + 1
@@ -238,8 +240,8 @@ def _sweep_point(cfg: SweepConfig, snr_index: int) -> SweepPoint:
         rec = run_packet(cfg, snr_db, snr_index, p, cfg.mode if state is None else state.mode)
         records.append(rec)
         if state is not None:
-            # A missed frame reports 0 preamble matches.
-            state = step_mode(state, rec.preamble_match >= cfg.match_threshold)
+            # A missed frame is never good, whatever the threshold.
+            state = step_mode(state, rec.frame_found and rec.preamble_match >= cfg.match_threshold)
     return _aggregate_point(cfg, snr_db, records)
 
 
@@ -481,9 +483,10 @@ def _cmd_selftest(args) -> int:
         print(f"{label}: {'ok' if good else 'FAILED'}")
         ok = ok and good
     params = ComplexityParams()
+    msk, qpsk = msk_op_counts(params), qpsk_op_counts(params)
     cm = (
-        msk_op_counts(params).additions_total == 29_793
-        and qpsk_op_counts(params).additions_total == 104_617
+        (msk.additions_total, msk.multiplications_total) == (29_793, 6_144)
+        and (qpsk.additions_total, qpsk.multiplications_total) == (104_617, 40_968)
     )
     print(f"complexity closed forms: {'ok' if cm else 'FAILED'}")
     return 0 if (ok and cm) else 1

@@ -33,12 +33,12 @@ from .phy_frames import as_bits
 CHIP_RATE_HZ = 2_000_000.0
 DEFAULT_SPS = 8  # samples per chip
 
-# Per-chip sign factor, period 4 in the chip index: +1 -1 -1 +1.  Chosen so
-# that the chip-k phase ramp direction equals the pre-encoding chip (see
-# module docstring); the convention is pinned by the loopback tests.
-SIGN_PATTERN_PERIOD4 = np.array([1.0, -1.0, -1.0, 1.0])
-# Same pattern as XOR bits for undoing it on hard sliced chips.
-SIGN_PATTERN_BITS = np.array([int(s < 0) for s in SIGN_PATTERN_PERIOD4.tolist()], dtype=np.uint8)
+# Per-chip sign bit, period 4 in the chip index: chip k is sent with
+# amplitude phy_frames.ANTIPODAL[chip ^ SIGN_PATTERN_BITS[k % 4]], that is
+# (2*chip - 1) * (+1, -1, -1, +1)[k % 4].  Chosen so that the chip-k phase
+# ramp direction equals the pre-encoding chip (see module docstring); the
+# convention is pinned by the loopback tests.
+SIGN_PATTERN_BITS = np.array([0, 1, 1, 0], dtype=np.uint8)
 
 
 def check_sps(sps: int) -> None:
@@ -85,21 +85,6 @@ def half_sine_taps(n_samples: int) -> np.ndarray:
         raise ValueError("pulse length must be an even integer >= 4")
     n = np.arange(n_samples)
     return np.sin(np.pi * n / n_samples)
-
-
-def sign_pattern(n_chips: int) -> np.ndarray:
-    """The +-1 sign factors for chip indices 0..n_chips-1."""
-    return SIGN_PATTERN_PERIOD4[np.arange(n_chips) % 4]
-
-
-def chip_amplitudes(chips) -> np.ndarray:
-    """Antipodal, sign-adjusted rail amplitudes for a chip vector.
-
-    chips are 0/1, chips[0] being chip index 0; the result is
-    (2*chip - 1) times the index-locked sign pattern.
-    """
-    chips = np.asarray(chips, dtype=np.float64)
-    return (2.0 * chips - 1.0) * sign_pattern(chips.size)
 
 
 # The table row of chip period p is 4*(p odd) + 2*(chip p's amplitude is

@@ -1,18 +1,22 @@
 """Reference forms of a frame's source (pre-encoding) chip stream, its
-differential encoding, the coherent chain's preamble and the mode
-controller's hysteresis.
+differential encoding, the transmitter's sign-adjusted chip amplitudes, the
+coherent chain's preamble and the mode controller's hysteresis.
 
 The transmitter never forms the source chips or runs the encoder:
 phy_frames.build_frame gathers rows of the pre-encoded table, and each
-receiver chain builds one block of the preamble.  The tests check the
-framer and both receiver chains against these plain forms.
+receiver chain builds one block of the preamble.  The package states the
+chip sign convention as XOR bits (tx_oqpsk.SIGN_PATTERN_BITS); here it is
+the float factors of the plain form.  The tests check the framer, the
+modulator and both receiver chains against these plain forms.
 """
 
 import numpy as np
 
 from dualmodem import phy_frames as pf
 from dualmodem.mode_controller import K_UP, MODE_MSK, MODE_QPSK
-from dualmodem.tx_oqpsk import chip_amplitudes
+
+# The transmitter's per-chip sign factor, period 4 in the chip index.
+SIGN_FACTORS = np.array([1.0, -1.0, -1.0, 1.0])
 
 # Consecutive poor verdicts that demote msk to qpsk in the reference
 # controller.
@@ -40,6 +44,13 @@ def differential_encode(chips) -> np.ndarray:
     chips = pf.as_bits(chips, "chips")
     # XOR prefix scan: out[k] = chips[0] ^ ... ^ chips[k]
     return np.bitwise_xor.accumulate(chips)
+
+
+def chip_amplitudes(chips) -> np.ndarray:
+    """The sign-adjusted rail amplitude of each chip, chips[0] being chip
+    index 0: (2*chip - 1) times SIGN_FACTORS[index % 4]."""
+    chips = np.asarray(chips, dtype=np.float64)
+    return (2.0 * chips - 1.0) * SIGN_FACTORS[np.arange(chips.size) % 4]
 
 
 def preamble_reference_symbols() -> np.ndarray:

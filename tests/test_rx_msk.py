@@ -407,9 +407,11 @@ def test_demodulate_books_the_frame_sync_search_of_a_found_frame():
 # ---------------------------------------------------------------------------
 
 
-def _finish(decisions, start, tau_hat=0):
+def _finish(chips, start, tau_hat=0):
+    """finish_frame on source chips that begin at the frame's first chip,
+    decision `start` of the chain's grid."""
     report = DemodReport(mode="msk", timing=MskTimingStat(v=np.ones(SPS), tau_hat=tau_hat))
-    return finish_frame(report, decisions, start, SPS, RxConfig(40), RuntimeCounters())
+    return finish_frame(report, chips, start, SPS, RxConfig(40), RuntimeCounters())
 
 
 def test_finish_frame_counts_preamble_matches():
@@ -421,13 +423,17 @@ def test_finish_frame_counts_preamble_matches():
     flipped = source.copy()
     flipped[rng.choice(256, 13, replace=False)] ^= 1
     # Decision 3 on a grid that starts a chip early is chip 2 of the buffer.
-    report = _finish(np.concatenate((np.zeros(3, np.uint8), flipped)), 3, tau_hat=5)
+    report = _finish(flipped, 3, tau_hat=5)
     assert report.preamble_match_count == 243
     assert report.frame_found and report.frame_start == 5 + 2 * SPS
     assert np.array_equal(report.payload_bits, payload)
-    # A frame that overruns the decisions is no frame.
-    for decisions, start in ((source[:-1], 0), (source, 1)):
-        report = _finish(decisions, start)
+    # Chips past the frame's end are ignored.
+    tail = np.ones(5, np.uint8)
+    report = _finish(np.concatenate((source, tail)), 0)
+    assert report.preamble_match_count == 256 and np.array_equal(report.payload_bits, payload)
+    # A frame that overruns the chips is no frame.
+    for chips, start in ((source[:-1], 0), (source[1:], 1)):
+        report = _finish(chips, start)
         assert not report.frame_found and report.frame_start is None
 
 

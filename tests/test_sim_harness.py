@@ -15,6 +15,7 @@ import pytest
 
 from dualmodem import phy_frames as pf
 from dualmodem import rx_msk, rx_qpsk, sim_harness
+from dualmodem.complexity_meter import StageOps
 from dualmodem.sim_harness import (
     CSV_COLUMNS,
     _CONFIG_FIELDS,
@@ -98,6 +99,10 @@ def test_sweep_config_validation():
         SweepConfig(match_threshold=-1)
     with pytest.raises(ValueError, match="master_seed"):
         SweepConfig(master_seed=-1)
+    # A string is truthy, so "no" would exclude missed frames.
+    for value in ("no", 1, None):
+        with pytest.raises(ValueError, match="exclude_missed"):
+            SweepConfig(exclude_missed=value)
     # A bad grid or sps fails here, not in snr_grid or at the first packet.
     for field in ("snr_start_db", "snr_stop_db", "snr_step_db"):
         for value in (float("nan"), float("inf"), -float("inf")):
@@ -116,6 +121,7 @@ def test_sweep_config_validation():
     SweepConfig(snr_start_db=2.0, snr_stop_db=2.0, sps=2)
     SweepConfig(f_d_hz=-999_999.0, tau_samples=3.0, match_threshold=0)
     SweepConfig(match_threshold=256, master_seed=0)
+    SweepConfig(exclude_missed=np.bool_(True))
 
 
 def test_parse_config_and_precedence(tmp_path):
@@ -315,6 +321,15 @@ def test_auto_mode_tracks_snr():
     assert high.mode == "auto"
 
 
+def test_auto_mode_counts_a_missed_frame_as_poor_at_threshold_zero():
+    # At -20 dB no frame is found.  A missed frame reports 0 preamble
+    # matches, which a threshold of 0 would pass were misses not poor.
+    point = ber_sweep(SweepConfig(snr_start_db=-20.0, snr_stop_db=-20.0, packets_per_point=40,
+                                  mode="auto", match_threshold=0)).points[0]
+    assert point.frames_detected == 0
+    assert point.msk_fraction == 0.0
+
+
 # ---------------------------------------------------------------------------
 # IQ import/export
 # ---------------------------------------------------------------------------
@@ -435,6 +450,17 @@ def test_cli_selftest_passes(capsys):
     assert rc == 0
     assert out.count("ok") == 4
     assert "qpsk loopback at 50 kHz offset, 1600-sample lead: ok" in out
+
+
+@pytest.mark.parametrize("chain", ["msk_op_counts", "qpsk_op_counts"])
+def test_cli_selftest_checks_the_multiplication_totals(chain, monkeypatch, capsys):
+    # One stray multiplication, with every addition left as it is.
+    counts = getattr(sim_harness, chain)
+    extra = StageOps("extra", multiplications=1)
+    monkeypatch.setattr(sim_harness, chain,
+                        lambda params: replace(counts(params), stages=(*counts(params).stages, extra)))
+    assert main(["selftest"]) == 1
+    assert "complexity closed forms: FAILED" in capsys.readouterr().out
 
 
 def test_cli_rejects_zero_settings(tmp_path):

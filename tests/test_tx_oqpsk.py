@@ -6,16 +6,13 @@ import pytest
 from dualmodem import phy_frames as pf
 from dualmodem.tx_oqpsk import (
     SIGN_PATTERN_BITS,
-    SIGN_PATTERN_PERIOD4,
     IqBuffer,
-    chip_amplitudes,
     half_sine_taps,
     modulate,
     period_table,
-    sign_pattern,
 )
 
-from frame_reference import frame_source_chips
+from frame_reference import SIGN_FACTORS, chip_amplitudes, frame_source_chips
 
 
 def test_half_sine_taps_small_case():
@@ -37,15 +34,18 @@ def test_half_sine_taps_shape_and_peak():
 
 
 def test_sign_pattern_period_and_offset():
-    assert np.array_equal(sign_pattern(8), np.tile(SIGN_PATTERN_PERIOD4, 2))
-    # The XOR-bit form flags exactly the negative signs.
-    assert np.array_equal(SIGN_PATTERN_BITS, (SIGN_PATTERN_PERIOD4 < 0).astype(np.uint8))
+    # The XOR-bit form flags exactly the negative signs of the float form.
+    assert SIGN_PATTERN_BITS.dtype == np.uint8
+    assert np.array_equal(SIGN_PATTERN_BITS, (SIGN_FACTORS < 0).astype(np.uint8))
 
 
 def test_chip_amplitudes_applies_signs():
-    chips = np.array([1, 1, 0, 0], dtype=np.uint8)
-    got = chip_amplitudes(chips)
-    assert np.array_equal(got, (2.0 * chips - 1.0) * SIGN_PATTERN_PERIOD4)
+    # The bit form the receivers use, ANTIPODAL[chip ^ sign bit], gives the
+    # float form's amplitudes bit for bit, at every chip index mod 4.
+    for n in (1, 4, 5, 32, 1857):
+        chips = np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
+        got = pf.ANTIPODAL[chips ^ np.resize(SIGN_PATTERN_BITS, n)]
+        assert got.tobytes() == chip_amplitudes(chips).tobytes(), n
 
 
 def test_modulate_output_length():
@@ -84,8 +84,8 @@ def _reference_modulate(chips, sps, head_bit, tail_bit):
     pulse = half_sine_taps(2 * sps)
     amps = chip_amplitudes(chips)
     # The edge chips sit at chip indices -1 and n_chips.
-    head_amp = (2.0 * head_bit - 1.0) * SIGN_PATTERN_PERIOD4[-1 % 4]
-    tail_amp = (2.0 * tail_bit - 1.0) * SIGN_PATTERN_PERIOD4[n_chips % 4]
+    head_amp = (2.0 * head_bit - 1.0) * SIGN_FACTORS[-1 % 4]
+    tail_amp = (2.0 * tail_bit - 1.0) * SIGN_FACTORS[n_chips % 4]
     out = np.zeros((n_chips + 1) * sps, dtype=np.complex128)
     i_blocks = (amps[0::2][:, None] * pulse).reshape(-1)
     out[: i_blocks.size] += i_blocks
