@@ -4,6 +4,7 @@ matches that serve as the SNR indicator of each decoded frame."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -15,8 +16,8 @@ from .tx_oqpsk import IqBuffer
 
 def check_n_fft(n_fft: int) -> None:
     """Raise ValueError unless n_fft (carrier FFT size) is a power of two >= 64."""
-    if n_fft < 64 or n_fft & (n_fft - 1):
-        raise ValueError("n_fft must be a power of two >= 64")
+    if not isinstance(n_fft, numbers.Integral) or n_fft < 64 or n_fft & (n_fft - 1):
+        raise ValueError("n_fft must be an integer power of two >= 64")
 
 
 @dataclass
@@ -28,7 +29,7 @@ class RxConfig:
     n_fft: int = 2048
 
     def __post_init__(self):
-        phy_frames.FrameLayout(payload_bits=self.payload_bits)  # validates the payload length
+        phy_frames.frame_chips(self.payload_bits)  # validates the payload length
         check_n_fft(self.n_fft)
 
 
@@ -161,7 +162,7 @@ def finish_frame(report: DemodReport, chips, start: int, sps: int, cfg: RxConfig
     that match the known preamble (the SNR indicator: 256 minus the Hamming
     distance) and despreads the payload chips that follow it.
     """
-    n_chips = phy_frames.FrameLayout(payload_bits=cfg.payload_bits).total_chips
+    n_chips = phy_frames.frame_chips(cfg.payload_bits)
     if n_chips > len(chips):
         return report
     chips = phy_frames.as_bits(chips[:n_chips], "chips")

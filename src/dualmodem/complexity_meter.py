@@ -23,6 +23,7 @@ Counting conventions worth knowing:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,9 @@ class ComplexityParams:
 
     def __post_init__(self):
         for name in ("l_pulses", "n_preamble"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer")
         if self.n_sample % 2:
             raise ValueError("n_sample must be even")
         check_sps(self.n_sample // 2)  # the sample rates the chains run at

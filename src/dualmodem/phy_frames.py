@@ -8,7 +8,7 @@ is differentially encoded before modulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -46,30 +46,9 @@ CHIP_TABLE = np.array(
     [[int(c) for c in row] for row in CHIP_TABLE_BITS], dtype=np.uint8
 )
 
-# The table rows packed 8 chips to a byte, one uint32 word per row, and the
-# set-bit count of every byte value, for despread_stream.
+# The table rows packed 8 chips to a byte, one uint32 word per row, for
+# despread_stream.
 _PACKED_TABLE = np.packbits(CHIP_TABLE, axis=1).view(np.uint32).reshape(-1)
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-@dataclass(frozen=True)
-class FrameLayout:
-    """Chip-level frame geometry: preamble followed by a spread payload."""
-
-    payload_bits: int
-    preamble_chips = PREAMBLE_REPEATS * CHIPS_PER_SYMBOL
-
-    def __post_init__(self):
-        if self.payload_bits <= 0 or self.payload_bits % BITS_PER_SYMBOL:
-            raise ValueError("payload_bits must be a positive multiple of 4")
-
-    @property
-    def payload_chips(self) -> int:
-        return self.payload_bits // BITS_PER_SYMBOL * CHIPS_PER_SYMBOL
-
-    @property
-    def total_chips(self) -> int:
-        return self.preamble_chips + self.payload_chips
 
 
 def as_bits(values, what: str = "bits") -> np.ndarray:
@@ -145,16 +124,12 @@ def despread_stream(chips) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("chip count must be divisible by 32")
     # One 32-chip block per uint32 word, XORed with every table row.
     words = np.packbits(chips.reshape(-1, CHIPS_PER_SYMBOL), axis=1).view(np.uint32)
-    differ = (words ^ _PACKED_TABLE).view(np.uint8)
-    # distances[i, s] = Hamming distance of block i to table row s: the set
-    # bits of each byte, read from the table into the byte's place, then
-    # summed into the top byte by the multiply (no sum exceeds 32, so no
-    # byte carries, and the byte order does not matter).
-    counts = np.take(_POPCOUNT, differ).view(np.uint32)
-    distances = (counts * 0x01010101) >> 24
+    # distances[i, s] = Hamming distance of block i to table row s.
+    distances = np.bitwise_count(words ^ _PACKED_TABLE)
     symbols = distances.argmin(axis=1)
     n_blocks = words.shape[0]
-    # Distances come back in np.uint, numpy's dtype for sums of uint8.
+    # Distances come back in np.uint, the dtype of a sum of 32 uint8 chip
+    # comparisons, not bitwise_count's uint8, so a sum of them cannot wrap.
     return symbols, distances[np.arange(n_blocks), symbols].astype(np.uint)
 
 
@@ -176,6 +151,16 @@ PREAMBLE_CHIPS = np.tile(CHIP_TABLE[0], PREAMBLE_REPEATS)
 PREAMBLE_CHIPS.flags.writeable = False
 
 
+def frame_chips(payload_bits: int) -> int:
+    """Chips in a frame of `payload_bits` payload bits: the preamble plus 32
+    chips per 4-bit symbol.  Raises ValueError unless payload_bits is a
+    positive integer multiple of 4."""
+    if (not isinstance(payload_bits, numbers.Integral) or payload_bits <= 0
+            or payload_bits % BITS_PER_SYMBOL):
+        raise ValueError("payload_bits must be a positive integer multiple of 4")
+    return PREAMBLE_CHIPS.size + payload_bits // BITS_PER_SYMBOL * CHIPS_PER_SYMBOL
+
+
 # ENCODED_TABLE[s] = CHIP_TABLE[s] differentially encoded from seed 0.
 # Every row holds an even number of 1 chips, so every encoded row ends in 0:
 # the encoder of a whole stream is back at state 0 at each row boundary, and
@@ -195,7 +180,7 @@ def build_frame(payload_bits) -> np.ndarray:
     is the encoded rows of its symbols (ENCODED_TABLE) laid end to end.
     """
     payload_bits = as_bits(payload_bits)
-    FrameLayout(payload_bits=payload_bits.size)  # validates the payload length
+    frame_chips(payload_bits.size)  # validates the payload length
     symbols = np.concatenate((_PREAMBLE_SYMBOLS, bits_to_symbols(payload_bits)))
     return ENCODED_TABLE.take(symbols, axis=0).reshape(-1)
 

@@ -78,7 +78,7 @@ def frame_sync_msk(chips) -> tuple[bool, int]:
     The correlation is a comb of 32-chip ones (_rxtypes.comb_correlate);
     every partial sum is an integer, so it equals the 256-chip one exactly.
     """
-    chips = np.asarray(chips, dtype=np.uint8)
+    chips = phy_frames.as_bits(chips, "chips")
     n_ref = phy_frames.PREAMBLE_CHIPS.size
     if chips.size < n_ref:
         return False, 0

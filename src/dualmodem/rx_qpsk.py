@@ -79,8 +79,6 @@ class TimingEstimate:
     """Early-late gate output: best sampling phase within one pulse period."""
 
     sample_phase: int
-    converged: bool
-    iterations_used: int
 
 
 def matched_filter(buf: IqBuffer, phase: int | None = None, f_hz: float = 0.0):
@@ -138,7 +136,7 @@ def elg_timing(buf: IqBuffer, l_pulses: int = 32, *, initial_phase: int) -> Timi
     Per pulse, compares |z| at the candidate phase p against p +- ELG_DELTA
     and nudges p toward the larger neighbour.  Samples accumulate while the
     candidate holds still, so decisions sharpen between shifts; three
-    consecutive no-shift decisions declare convergence.
+    consecutive no-shift decisions end the search.
     """
     n_pulse = 2 * buf.sps
     if buf.sps <= ELG_DELTA:
@@ -152,13 +150,10 @@ def elg_timing(buf: IqBuffer, l_pulses: int = 32, *, initial_phase: int) -> Timi
     phase = int(initial_phase)
     acc_e = acc_m = acc_l = 0.0
     quiet = 0
-    converged = False
-    used = 0
     for i in range(l_pulses):
         center = phase + (i + 1) * n_pulse
         if center - ELG_DELTA < 0 or center + ELG_DELTA >= mag.size:
             break
-        used = i + 1
         acc_e += mag[center - ELG_DELTA]
         acc_m += mag[center]
         acc_l += mag[center + ELG_DELTA]
@@ -173,11 +168,8 @@ def elg_timing(buf: IqBuffer, l_pulses: int = 32, *, initial_phase: int) -> Timi
         else:
             quiet += 1
             if quiet >= 3:
-                converged = True
                 break
-    return TimingEstimate(
-        sample_phase=phase % n_pulse, converged=converged, iterations_used=used
-    )
+    return TimingEstimate(sample_phase=phase % n_pulse)
 
 
 def rb_carrier_estimate(symbols, t_sym_s: float, n_fft: int = RxConfig.n_fft) -> CarrierEstimate:

@@ -83,8 +83,7 @@ class SweepConfig:
             raise ValueError(f"snr_start_db to snr_stop_db spans {MAX_SNR_STEPS} snr_step_db"
                              " steps or more")
         check_sps(self.sps)
-        for name in ("packets_per_point", "payload_bits", "n_fft", "master_seed",
-                     "match_threshold"):
+        for name in ("packets_per_point", "master_seed", "match_threshold"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
         if self.packets_per_point < 1:

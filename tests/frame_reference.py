@@ -32,7 +32,7 @@ def frame_source_chips(payload_bits) -> np.ndarray:
     """The frame chip stream before differential encoding: preamble chips
     followed by the spread payload."""
     payload_bits = pf.as_bits(payload_bits)
-    pf.FrameLayout(payload_bits=payload_bits.size)  # validates the payload length
+    pf.frame_chips(payload_bits.size)  # validates the payload length
     return np.concatenate([pf.PREAMBLE_CHIPS, spread_symbols(pf.bits_to_symbols(payload_bits))])
 
 

@@ -112,6 +112,12 @@ def test_params_validation():
         ComplexityParams(n_bits=0)
     with pytest.raises(ValueError):
         ComplexityParams(l_pulses=0)
+    # A fractional setting has no price: the model counts whole operations.
+    # n_bits is checked by RxConfig, under the receiver's name for it.
+    for field, value, match in (("n_bits", 200.0, "payload_bits"), ("l_pulses", 2.5, "l_pulses"),
+                                ("n_preamble", 1.5, "n_preamble")):
+        with pytest.raises(ValueError, match=match):
+            ComplexityParams(**{field: value})
     with pytest.raises(ValueError):
         msk_op_counts(ComplexityParams(n_preamble=257))
     with pytest.raises(ValueError):

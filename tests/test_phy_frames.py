@@ -249,15 +249,12 @@ def test_differential_coding_rejects_non_binary_chips(fn):
 # ---------------------------------------------------------------------------
 
 
-def test_frame_layout_chip_counts():
-    layout = pf.FrameLayout(payload_bits=200)
-    assert layout.preamble_chips == 256
-    assert layout.payload_chips == 1600
-    assert layout.total_chips == 1856
-    with pytest.raises(ValueError):
-        pf.FrameLayout(payload_bits=6)
-    with pytest.raises(ValueError):
-        pf.FrameLayout(payload_bits=0)
+def test_frame_chips_counts_and_validation():
+    assert pf.frame_chips(200) == 1856
+    assert pf.frame_chips(200) == pf.build_frame(np.zeros(200, dtype=np.uint8)).size
+    for payload_bits in (6, 0, 200.0):
+        with pytest.raises(ValueError, match="payload_bits"):
+            pf.frame_chips(payload_bits)
 
 
 def test_preamble_is_eight_repeats_of_row_0():

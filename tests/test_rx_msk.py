@@ -251,6 +251,16 @@ def test_frame_sync_msk_rejects_noise_and_short_input():
     assert not found and start == 0
 
 
+def test_frame_sync_msk_rejects_chips_other_than_0_and_1():
+    # A cast to uint8 would read 0.7 as chip 0, and fail late on a 2
+    # (IndexError) or a -1 (OverflowError).
+    chips = frame_source_chips(np.ones(8, dtype=np.uint8)).astype(np.int64)
+    for bad in ([0.7] * 300, np.where(np.arange(chips.size) == 5, 2, chips),
+                np.where(np.arange(chips.size) == 5, -1, chips)):
+        with pytest.raises(ValueError, match="0/1"):
+            frame_sync_msk(bad)
+
+
 def test_frame_sync_msk_prefers_earliest_near_tie():
     # An all-zero payload repeats the preamble row, producing equal peaks 32
     # chips apart; the earliest must win or the frame overruns the buffer.
