@@ -1,6 +1,6 @@
-"""Records, the symbol timing stage, the preamble peak pick and the frame
-tail shared by the two receiver chains.  The tail also counts the preamble
-matches that serve as the SNR indicator of each decoded frame."""
+"""Records, the symbol timing stage, the preamble correlation and peak pick
+and the frame tail shared by the two receiver chains.  The tail also counts
+the preamble matches that serve as the SNR indicator of each decoded frame."""
 
 from __future__ import annotations
 
@@ -127,6 +127,22 @@ def comb_correlate(x: np.ndarray, block: np.ndarray) -> np.ndarray:
         out = out[:-span] + out[span:]
         span *= 2
     return out
+
+
+def preamble_correlation(stream: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The energy-normalized preamble correlation both chains sync on:
+    comb_correlate(stream, block) over sqrt(window energy * reference
+    energy), the reference being `block` tiled PREAMBLE_REPEATS times.  A
+    stream shorter than one preamble has the single lag 0, with value 0.  On
+    antipodal chips every energy is whole, so each value is exactly the
+    correlation over the preamble length."""
+    n_ref = phy_frames.PREAMBLE_REPEATS * block.size
+    if stream.size < n_ref:
+        return np.zeros(1, dtype=np.result_type(stream, block))
+    energy = np.concatenate(([0.0], np.cumsum(np.abs(stream) ** 2)))
+    window = energy[n_ref:] - energy[:-n_ref]
+    reference = phy_frames.PREAMBLE_REPEATS * float(np.sum(np.abs(block) ** 2))
+    return comb_correlate(stream, block) / (np.sqrt(window * reference) + 1e-30)
 
 
 def earliest_peak(metric: np.ndarray) -> tuple[float, int]:

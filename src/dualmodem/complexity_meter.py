@@ -66,7 +66,8 @@ class ComplexityParams:
         if self.n_sample % 2:
             raise ValueError("n_sample must be even")
         check_sps(self.n_sample // 2)  # the sample rates the chains run at
-        RxConfig(self.n_bits, self.n_fft)  # validates the payload length and FFT size
+        phy_frames.frame_chips(self.n_bits, "n_bits")
+        check_n_fft(self.n_fft)
 
 
 @dataclass(frozen=True)

@@ -151,13 +151,13 @@ PREAMBLE_CHIPS = np.tile(CHIP_TABLE[0], PREAMBLE_REPEATS)
 PREAMBLE_CHIPS.flags.writeable = False
 
 
-def frame_chips(payload_bits: int) -> int:
+def frame_chips(payload_bits: int, name: str = "payload_bits") -> int:
     """Chips in a frame of `payload_bits` payload bits: the preamble plus 32
-    chips per 4-bit symbol.  Raises ValueError unless payload_bits is a
-    positive integer multiple of 4."""
+    chips per 4-bit symbol.  Raises ValueError, naming the caller's field
+    `name`, unless payload_bits is a positive integer multiple of 4."""
     if (not isinstance(payload_bits, numbers.Integral) or payload_bits <= 0
             or payload_bits % BITS_PER_SYMBOL):
-        raise ValueError("payload_bits must be a positive integer multiple of 4")
+        raise ValueError(f"{name} must be a positive integer multiple of 4")
     return PREAMBLE_CHIPS.size + payload_bits // BITS_PER_SYMBOL * CHIPS_PER_SYMBOL
 
 

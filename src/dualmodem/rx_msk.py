@@ -6,9 +6,9 @@ pre-encoding chip stream (the modulator's sign convention absorbs the
 differential encoding, so this chain has no differential decoder).  Symbol
 timing comes from the squared lag-product statistic the coherent chain
 shares (_rxtypes.msk_timing), which is immune to carrier frequency and
-phase offsets; frame alignment from a 256-chip
-correlation against the known preamble.  The chain only reads the detector
-at the chip instants, so it forms the lag products there and nowhere else.
+phase offsets; frame alignment from the shared preamble correlation
+(_rxtypes.preamble_correlation) over the hard chips as +-1.  The chain only
+reads the detector at the chip instants, so it forms the lag products there.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from ._rxtypes import (
     SYNC_THRESHOLD,
     DemodReport,
     RxConfig,
-    comb_correlate,
     earliest_peak,
     erase_non_finite,
     finish_frame,
     msk_timing,
+    preamble_correlation,
 )
 from .complexity_meter import RuntimeCounters
 from .tx_oqpsk import IqBuffer
@@ -73,17 +73,12 @@ def detect_chips(y: np.ndarray) -> np.ndarray:
 def frame_sync_msk(chips) -> tuple[bool, int]:
     """Locate the preamble in a hard chip stream.
 
-    Slides a 256-chip antipodal correlation; the peak, normalized by the
-    preamble length, must reach SYNC_THRESHOLD.  Returns (found, start_chip).
-    The correlation is a comb of 32-chip ones (_rxtypes.comb_correlate);
-    every partial sum is an integer, so it equals the 256-chip one exactly.
+    Slides the shared energy-normalized preamble correlation
+    (_rxtypes.preamble_correlation) over the antipodal chips; its signed
+    peak must reach SYNC_THRESHOLD.  Returns (found, start_chip).
     """
     chips = phy_frames.as_bits(chips, "chips")
-    n_ref = phy_frames.PREAMBLE_CHIPS.size
-    if chips.size < n_ref:
-        return False, 0
-    corr = comb_correlate(phy_frames.ANTIPODAL[chips], PREAMBLE_BLOCK)
-    corr /= n_ref
+    corr = preamble_correlation(phy_frames.ANTIPODAL[chips], PREAMBLE_BLOCK)
     peak, best = earliest_peak(corr)
     return bool(peak >= SYNC_THRESHOLD), best
 

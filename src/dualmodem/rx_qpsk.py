@@ -38,12 +38,13 @@ from ._rxtypes import (
     DemodReport,
     RxConfig,
     check_n_fft,
-    comb_correlate,
     earliest_peak,
     erase_non_finite,
     finish_frame,
     msk_timing,
+    preamble_correlation,
 )
+from .channel_model import phasor_ramp
 from .complexity_meter import RuntimeCounters
 from .tx_oqpsk import SIGN_PATTERN_BITS, IqBuffer, half_sine_taps
 
@@ -226,13 +227,13 @@ def compensate(
     x: np.ndarray, estimate: CarrierEstimate, instants: range, sample_period_s: float
 ) -> np.ndarray:
     """Remove the estimated rotation from decision samples x[k] taken at
-    sample instants n_k: x[k] * exp(-j*(2*pi*f_hat*n_k*T_s + theta_hat)).
-    See the module docstring for why this follows a tuned filter."""
-    n = np.arange(instants.start, instants.stop, instants.step, dtype=np.float64)
-    n *= 2.0 * np.pi * estimate.f_d_hat_hz
-    n *= sample_period_s
-    n += estimate.theta_hat_rad
-    return x * np.exp(-1j * n)
+    sample instants n_k: x[k] * exp(-j*(2*pi*f_hat*n_k*T_s + theta_hat)),
+    with the channel's phasor_ramp at -f_hat, one step per decision, which
+    matches exp of the direct phase to float64 rounding.  See the module
+    docstring for why this follows a tuned filter."""
+    w = 2.0 * np.pi * estimate.f_d_hat_hz * sample_period_s
+    return x * phasor_ramp(len(instants), -estimate.f_d_hat_hz, instants.step * sample_period_s,
+                           -(w * instants.start + estimate.theta_hat_rad))
 
 
 # The block the preamble repeats, as QPSK symbols: symbol 0's encoded,
@@ -242,30 +243,6 @@ PREAMBLE_BLOCK = phy_frames.ANTIPODAL[
     phy_frames.ENCODED_TABLE[0] ^ np.resize(SIGN_PATTERN_BITS, phy_frames.CHIPS_PER_SYMBOL)
 ].view(np.complex128)
 PREAMBLE_BLOCK.flags.writeable = False
-_REFERENCE_SIZE = phy_frames.PREAMBLE_REPEATS * PREAMBLE_BLOCK.size
-_REFERENCE_ENERGY = phy_frames.PREAMBLE_REPEATS * float(np.sum(np.abs(PREAMBLE_BLOCK) ** 2))
-
-
-def _preamble_peak(symbols):
-    """Best normalized complex correlation with the preamble, PREAMBLE_BLOCK
-    repeated: (peak, lag, phase_at_peak).
-
-    The peak is the magnitude of the sliding complex correlation, which is
-    invariant to the fourfold phase ambiguity left by the power-of-four
-    estimator; the residual rotation is the angle at the peak.  The
-    correlation is a comb of 16-symbol ones (_rxtypes.comb_correlate),
-    equal to the 128-symbol one up to float64 rounding.
-    """
-    u = np.asarray(symbols, dtype=np.complex128)
-    n_ref = _REFERENCE_SIZE
-    if u.size < n_ref:
-        return 0.0, 0, 0.0
-    corr = comb_correlate(u, PREAMBLE_BLOCK)
-    energy = np.concatenate(([0.0], np.cumsum(np.abs(u) ** 2)))
-    win = energy[n_ref:] - energy[:-n_ref]
-    norm = np.abs(corr) / (np.sqrt(win * _REFERENCE_ENERGY) + 1e-30)
-    peak, lag = earliest_peak(norm)
-    return peak, lag, float(np.angle(corr[lag]))
 
 
 def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> DemodReport:
@@ -318,13 +295,17 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # boundary samples re-forms QPSK symbols, those of chip parity p being
     # pairs[p::2].  Both parities of the frame start are tried and the
     # stronger peak wins; a parity whose symbols hold no whole preamble
-    # peaks at 0 (_preamble_peak).
+    # peaks at 0.  The magnitude ignores the estimate's fourfold phase
+    # ambiguity; the angle at the peak is the residual rotation.
     pairs = x[:-1] + x[1:]
+    n_ref = phy_frames.PREAMBLE_CHIPS.size // 2  # two chips per symbol
     candidates = []
     for parity in (0, 1):
         u = pairs[parity::2]
-        candidates.append((*_preamble_peak(u), parity))
-        counter.tally_correlation_search(_REFERENCE_SIZE, u.size - _REFERENCE_SIZE + 1)
+        corr = preamble_correlation(u, PREAMBLE_BLOCK)
+        peak, lag = earliest_peak(np.abs(corr))
+        candidates.append((peak, lag, float(np.angle(corr[lag])), parity))
+        counter.tally_correlation_search(n_ref, u.size - n_ref + 1)
     # max keeps the first of equal peaks: parity 1 wins only on a strictly greater one.
     peak, m0, delta_hat, parity = max(candidates, key=lambda c: c[0])
     if not peak >= SYNC_THRESHOLD:

@@ -52,6 +52,10 @@ _MODES = (*_CHAINS, MODE_AUTO)
 # An SNR grid spans fewer steps than this: more than any sweep runs, few to build.
 MAX_SNR_STEPS = 1_000_000
 
+# The longest lead a packet may open with: 62.5 ms at sps = 8, 14 times the
+# longest 802.15.4 frame, in 16 MB of samples (a lead of 1e9 would ask 16 GB).
+MAX_TAU_SAMPLES = 1_000_000
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -95,6 +99,8 @@ class SweepConfig:
         RxConfig(self.payload_bits, self.n_fft)  # validates the receiver settings
         theta = 0.0 if self.theta_rad is None else self.theta_rad
         ChannelParams(self.f_d_hz, theta, self.tau_samples)  # validates the impairments
+        if self.tau_samples > MAX_TAU_SAMPLES:
+            raise ValueError(f"tau_samples must not exceed {MAX_TAU_SAMPLES}")
         check_offset(self.f_d_hz, CHIP_RATE_HZ)
         if not 0 <= self.match_threshold <= phy_frames.PREAMBLE_CHIPS.size:
             raise ValueError(f"match_threshold must lie in [0, {phy_frames.PREAMBLE_CHIPS.size}]")

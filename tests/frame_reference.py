@@ -1,6 +1,7 @@
 """Reference forms of a frame's source (pre-encoding) chip stream, its
 differential encoding, the transmitter's sign-adjusted chip amplitudes, the
-coherent chain's preamble and the mode controller's hysteresis.
+coherent chain's preamble, the preamble correlation both chains sync on and
+the mode controller's hysteresis.
 
 The transmitter never forms the source chips or runs the encoder:
 phy_frames.build_frame gathers rows of the pre-encoded table, and each
@@ -57,6 +58,19 @@ def preamble_reference_symbols() -> np.ndarray:
     """The 128 complex QPSK symbols of the encoded, sign-adjusted preamble."""
     amps = chip_amplitudes(differential_encode(pf.PREAMBLE_CHIPS))
     return amps[0::2] + 1j * amps[1::2]
+
+
+def preamble_correlation_reference(stream, reference) -> np.ndarray:
+    """_rxtypes.preamble_correlation in its plain form: the full-length
+    np.correlate against the whole preamble `reference`, over the square
+    root of each window's energy times the reference's."""
+    stream = np.asarray(stream)
+    if stream.size < reference.size:
+        return np.zeros(1, dtype=np.result_type(stream, reference))
+    corr = np.correlate(stream, reference, mode="valid")
+    energy = np.concatenate(([0.0], np.cumsum(np.abs(stream) ** 2)))
+    window = energy[reference.size :] - energy[: -reference.size]
+    return corr / (np.sqrt(window * np.sum(np.abs(reference) ** 2)) + 1e-30)
 
 
 def step_mode_with_poor_run(state, good):

@@ -238,6 +238,7 @@ def test_criterion_06_msk_offset_immunity(criterion_log):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_ber_ordering_and_gap(chain_sweeps, criterion_log):
     """Coherent chain outperforms non-coherent at every mutual operating point."""
     sweeps, elapsed = chain_sweeps
@@ -265,6 +266,7 @@ def test_criterion_07_ber_ordering_and_gap(chain_sweeps, criterion_log):
     assert total < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_08_low_snr_miss_floor(chain_sweeps, criterion_log):
     """Below the sync floor, both chains miss more than 90% of frames."""
     sweeps, _ = chain_sweeps
@@ -281,6 +283,7 @@ def test_criterion_08_low_snr_miss_floor(chain_sweeps, criterion_log):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_snr_indicator_and_auto_mode(chain_sweeps, auto_sweep, criterion_log):
     """Preamble match tracks SNR and drives the mode switch at the crossover."""
     sweeps, _ = chain_sweeps

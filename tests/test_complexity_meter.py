@@ -95,7 +95,7 @@ def test_counts_scale_with_parameters():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_fft"):
         ComplexityParams(n_fft=1000)
     with pytest.raises(ValueError):
         ComplexityParams(n_sample=15)
@@ -103,19 +103,19 @@ def test_params_validation():
     for n_sample in (6, 2, 0):
         with pytest.raises(ValueError, match="sps"):
             ComplexityParams(n_sample=n_sample)
-    with pytest.raises(ValueError):
+    # The receiver's rules (frame_chips, check_n_fft), under the model's
+    # own field names.
+    with pytest.raises(ValueError, match="n_bits"):
         ComplexityParams(n_bits=6)
-    # The receiver refuses these too (RxConfig).
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_fft"):
         ComplexityParams(n_fft=32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_bits"):
         ComplexityParams(n_bits=0)
     with pytest.raises(ValueError):
         ComplexityParams(l_pulses=0)
     # A fractional setting has no price: the model counts whole operations.
-    # n_bits is checked by RxConfig, under the receiver's name for it.
-    for field, value, match in (("n_bits", 200.0, "payload_bits"), ("l_pulses", 2.5, "l_pulses"),
-                                ("n_preamble", 1.5, "n_preamble")):
+    for field, value, match in (("n_bits", 200.0, "n_bits"), ("l_pulses", 2.5, "l_pulses"),
+                                ("n_preamble", 1.5, "n_preamble"), ("n_fft", 2048.0, "n_fft")):
         with pytest.raises(ValueError, match=match):
             ComplexityParams(**{field: value})
     with pytest.raises(ValueError):

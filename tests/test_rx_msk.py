@@ -12,10 +12,10 @@ from dualmodem._rxtypes import (
     DemodReport,
     MskTimingStat,
     RxConfig,
-    comb_correlate,
     earliest_peak,
     erase_non_finite,
     finish_frame,
+    preamble_correlation,
 )
 from dualmodem.channel_model import ChannelParams, apply
 from dualmodem.complexity_meter import RuntimeCounters
@@ -31,7 +31,7 @@ from dualmodem.rx_msk import (
 from dualmodem.rx_qpsk import demodulate as demodulate_qpsk
 from dualmodem.tx_oqpsk import IqBuffer, modulate
 
-from frame_reference import frame_source_chips
+from frame_reference import frame_source_chips, preamble_correlation_reference
 
 SPS = 8
 # numpy computes a binary op in place into a temporary of at least 256 KiB
@@ -269,40 +269,88 @@ def test_frame_sync_msk_prefers_earliest_near_tie():
     assert found and start == 0
 
 
+# The 256-chip preamble as +-1, in its plain form.
+ANTIPODAL_PREAMBLE = 2.0 * pf.PREAMBLE_CHIPS - 1.0
+
+
 def _frame_sync_msk_reference(chips):
-    """frame_sync_msk with the full 256-chip np.correlate."""
+    """frame_sync_msk with the full 256-chip np.correlate, energy-normalized."""
     x = 2.0 * np.asarray(chips, dtype=np.uint8) - 1.0
-    r = 2.0 * pf.PREAMBLE_CHIPS - 1.0
-    corr = np.correlate(x, r, mode="valid") / r.size
+    corr = preamble_correlation_reference(x, ANTIPODAL_PREAMBLE)
     peak, lag = earliest_peak(corr)
     return bool(peak >= SYNC_THRESHOLD), lag, corr
 
 
-def test_preamble_block_tiles_to_the_antipodal_preamble_bit_for_bit():
-    tiled = np.tile(PREAMBLE_BLOCK, pf.PREAMBLE_REPEATS)
-    assert tiled.tobytes() == (2.0 * pf.PREAMBLE_CHIPS - 1.0).tobytes()
-    assert PREAMBLE_BLOCK.size == 32 and not PREAMBLE_BLOCK.flags.writeable
+def _frame_sync_by_length(chips):
+    """frame_sync_msk as it was before the chains shared one correlation:
+    the full 256-chip np.correlate over the preamble length."""
+    x = 2.0 * np.asarray(chips, dtype=np.uint8) - 1.0
+    if x.size < ANTIPODAL_PREAMBLE.size:
+        return False, 0, None
+    corr = np.correlate(x, ANTIPODAL_PREAMBLE, mode="valid")
+    corr /= ANTIPODAL_PREAMBLE.size
+    peak, lag = earliest_peak(corr)
+    return bool(peak >= SYNC_THRESHOLD), lag, corr
 
 
-def test_frame_sync_msk_comb_is_bit_exact():
-    rng = np.random.default_rng(21)
-    for trial in range(60):
-        n = int(rng.integers(256, 2400))
+def _random_chip_streams(seed, count, max_chips):
+    """Random 0/1 streams of 0 to max_chips chips; every other one holds a
+    frame whose payload opens with zero symbols (full-strength peaks 32
+    chips apart, the SYNC_PEAK_MARGIN earliest-tie case), with random chip
+    errors."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(0, max_chips))
         chips = rng.integers(0, 2, n).astype(np.uint8)
-        if trial % 2:
-            # A frame whose payload opens with zero symbols: full-strength
-            # peaks 32 chips apart, the SYNC_PEAK_MARGIN earliest-tie case,
-            # with random chip errors.
+        if trial % 2 and n:
             payload = np.zeros(200, dtype=np.uint8)
             payload[int(rng.integers(0, 200)) :] = rng.integers(0, 2, 1)[0]
             source = frame_source_chips(payload)
             start = int(rng.integers(0, max(1, n - source.size)))
             chips[start : start + source.size] = source[: n - start]
-            chips[rng.choice(n, int(rng.integers(0, 40)), replace=False)] ^= 1
+            chips[rng.choice(n, int(rng.integers(0, min(n, 40))), replace=False)] ^= 1
+        yield chips
+
+
+def test_preamble_block_tiles_to_the_antipodal_preamble_bit_for_bit():
+    tiled = np.tile(PREAMBLE_BLOCK, pf.PREAMBLE_REPEATS)
+    assert tiled.tobytes() == ANTIPODAL_PREAMBLE.tobytes()
+    assert PREAMBLE_BLOCK.size == 32 and not PREAMBLE_BLOCK.flags.writeable
+
+
+def test_frame_sync_msk_comb_is_bit_exact():
+    for chips in _random_chip_streams(21, 60, 2400):
         found, lag, corr = _frame_sync_msk_reference(chips)
-        comb = comb_correlate(2.0 * chips - 1.0, PREAMBLE_BLOCK) / 256
+        comb = preamble_correlation(2.0 * chips - 1.0, PREAMBLE_BLOCK)
         assert comb.tobytes() == corr.tobytes()
         assert frame_sync_msk(chips) == (found, lag)
+
+
+def test_frame_sync_msk_keeps_the_length_normalized_sync():
+    # (found, lag) as the chain gave them when it divided its correlation by
+    # the preamble length, with and without frames, short streams included.
+    # Every window of +-1 chips holds energy 256, as does the reference, so
+    # the energy normalization divides by exactly 256.
+    found_any = lost_any = False
+    for chips in _random_chip_streams(23, 3_000, 2400):
+        found, lag, by_length = _frame_sync_by_length(chips)
+        if by_length is not None:
+            norm = preamble_correlation(2.0 * chips - 1.0, PREAMBLE_BLOCK)
+            assert norm.tobytes() == by_length.tobytes()
+        assert frame_sync_msk(chips) == (found, lag)
+        found_any |= found
+        lost_any |= not found
+    assert found_any and lost_any
+
+
+@pytest.mark.parametrize("n", [0, 1, 100, 255])
+def test_msk_preamble_correlation_of_a_short_stream_is_one_zero_lag(n):
+    x = 2.0 * np.ones(n) - 1.0
+    corr = preamble_correlation(x, PREAMBLE_BLOCK)
+    assert corr.dtype == np.float64
+    assert corr.tobytes() == np.zeros(1).tobytes()
+    assert preamble_correlation_reference(x, ANTIPODAL_PREAMBLE).tobytes() == corr.tobytes()
+    assert frame_sync_msk(np.ones(n, dtype=np.uint8)) == (False, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,15 @@ from dualmodem._rxtypes import (
     RxConfig,
     comb_correlate,
     earliest_peak,
+    preamble_correlation,
 )
-from dualmodem.channel_model import ChannelParams, apply
+from dualmodem.channel_model import RAMP_COLUMNS, ChannelParams, apply
 from dualmodem.complexity_meter import RuntimeCounters, fft_op_counts
 from dualmodem.rx_qpsk import (
     PREAMBLE_BLOCK,
     RB_CONFIDENCE_MIN,
     CarrierEstimate,
     _median,
-    _preamble_peak,
     compensate,
     demodulate,
     elg_timing,
@@ -30,7 +30,7 @@ from dualmodem.rx_qpsk import (
 )
 from dualmodem.tx_oqpsk import SIGN_PATTERN_BITS, IqBuffer, half_sine_taps, modulate
 
-from frame_reference import preamble_reference_symbols
+from frame_reference import preamble_correlation_reference, preamble_reference_symbols
 
 SPS = 8
 N_PULSE = 2 * SPS
@@ -287,10 +287,54 @@ def test_compensate_matches_reference_bit_for_bit(n, f_hat, theta_hat):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(len(instants)) + 1j * rng.standard_normal(len(instants))
     sample_period_s = 1 / (SPS * 2e6)
-    k = np.arange(instants.start, instants.stop, instants.step)
-    want = x * np.exp(-1j * (2.0 * np.pi * f_hat * k * sample_period_s + theta_hat))
+    # The rotation of decision k = RAMP_COLUMNS*q + r as the outer product
+    # of the phasors at the row starts and those of the in-row offsets: a
+    # ramp at -f_hat, one decision step apart, from the phase of the first
+    # instant.  x stays the first factor.
+    w = 2.0 * np.pi * f_hat * sample_period_s
+    w_step = 2.0 * np.pi * -f_hat * (instants.step * sample_period_s)
+    start = -(w * instants.start + theta_hat)
+    q = np.arange(-(-len(instants) // RAMP_COLUMNS))
+    r = np.arange(RAMP_COLUMNS)
+    starts = np.exp(1j * (w_step * RAMP_COLUMNS * q + start))
+    offsets = np.exp(1j * w_step * r)
+    want = x * np.outer(starts, offsets).ravel()[: len(instants)]
     got = compensate(x, _estimate(f_hat, theta_hat), instants, sample_period_s)
     assert got.tobytes() == want.tobytes()
+
+
+# Bound set from float64 before measuring, per decision k at sample instant
+# n_k, with u = eps/2, w = 2*pi*f_hat*T_s and X_k = |w| n_k + |theta_hat|.
+# The direct phase takes four roundings, so it is off by at most 4u X_k.
+# The ramp's start phase -(w*n_0 + theta_hat) takes four (two of them in
+# w), its per-decision step three, a row start's phase two more and an
+# offset's one, so the two phases that make decision k are off by at most
+# 5u X_k together.  Each complex exp and each complex product adds at most
+# 4u of its size: two exps and two products on the ramp side, one of each
+# on the direct side, 24u in all.  So the sides part by at most
+# |x_k| u (9 X_k + 24); doubling it gives
+#   |compensate - x exp(-j*phase)| <= |x_k| eps (9 X_k + 24).
+# 8,385 decisions are the grid of a 1,016-bit frame; 125 kHz is the
+# largest |f_hat| the carrier estimate returns.
+@pytest.mark.parametrize("sps", [2, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 1_857, 8_385])
+def test_compensate_matches_exp_of_direct_phase(sps, n):
+    rng = np.random.default_rng(sps * n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    sample_period_s = 1 / (sps * 2e6)
+    eps = np.finfo(np.float64).eps
+    for phase in (0, sps - 1):
+        instants = range(phase + sps, phase + sps * (n + 1), sps)
+        n_k = np.arange(instants.start, instants.stop, instants.step)
+        for f_hat in (0.0, 12.5e3, -37.5e3, 125e3, -125e3):
+            for theta_hat in (-np.pi / 4, 0.0, 0.6, np.pi / 4):
+                phase_k = 2.0 * np.pi * f_hat * n_k * sample_period_s + theta_hat
+                want = x * np.exp(-1j * phase_k)
+                got = compensate(x, _estimate(f_hat, theta_hat), instants, sample_period_s)
+                w = 2.0 * np.pi * f_hat * sample_period_s
+                tol = np.abs(x) * eps * (9 * (abs(w) * n_k + abs(theta_hat)) + 24)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= tol), (phase, f_hat, theta_hat)
 
 
 def test_compensate_residual_grows_linearly():
@@ -384,12 +428,31 @@ def test_preamble_block_requires_eight_repeats():
 
 def test_preamble_block_tiles_to_the_encoded_preamble_bit_for_bit():
     # The block comes from one encoded table row; tiled, it must be the
-    # symbols of the whole encoded, sign-adjusted 256-chip preamble, and
-    # the correlator's length and energy those of the whole reference.
+    # symbols of the whole encoded, sign-adjusted 256-chip preamble.
     tiled = np.tile(PREAMBLE_BLOCK, pf.PREAMBLE_REPEATS)
     assert tiled.tobytes() == PREAMBLE_REFERENCE.tobytes()
-    assert rx_qpsk._REFERENCE_SIZE == PREAMBLE_REFERENCE.size
-    assert rx_qpsk._REFERENCE_ENERGY == float(np.sum(np.abs(PREAMBLE_REFERENCE) ** 2))
+
+
+def test_preamble_correlation_spans_the_whole_reference():
+    # One lag exactly when the symbols hold one preamble: the correlation's
+    # reference is the block repeated PREAMBLE_REPEATS times.  A perfect
+    # match reads 1 at any scale, up to rounding.
+    for scale in (1.0, 1e-3, 7.0j):
+        corr = preamble_correlation(scale * PREAMBLE_REFERENCE, PREAMBLE_BLOCK)
+        assert corr.shape == (1,)
+        assert abs(corr[0]) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 64, 127])
+def test_preamble_correlation_of_a_short_stream_is_one_zero_lag(n):
+    # Fewer symbols than one preamble: the single lag 0, with value 0, which
+    # the chain reads as peak 0 at lag 0 with angle 0.
+    u = PREAMBLE_REFERENCE[:n] * np.exp(0.3j)
+    corr = preamble_correlation(u, PREAMBLE_BLOCK)
+    assert corr.dtype == np.complex128
+    assert corr.tobytes() == np.zeros(1, dtype=np.complex128).tobytes()
+    assert frame_sync_qpsk(u) == (False, 0)
+    assert preamble_correlation_reference(u, PREAMBLE_REFERENCE).tobytes() == corr.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 32, 256, 1856, 1857])
@@ -407,17 +470,18 @@ def test_odd_chip_flip_undoes_the_sign_pattern(n):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def _preamble_peak_reference(symbols):
-    """_preamble_peak with the full 128-symbol np.correlate."""
-    u = np.asarray(symbols, dtype=np.complex128)
-    ref = PREAMBLE_REFERENCE
-    if u.size < ref.size:
-        return 0.0, 0, 0.0
-    corr = np.correlate(u, ref, mode="valid")
-    energy = np.concatenate(([0.0], np.cumsum(np.abs(u) ** 2)))
-    win = energy[ref.size :] - energy[: -ref.size]
-    norm = np.abs(corr) / (np.sqrt(win * np.sum(np.abs(ref) ** 2)) + 1e-30)
-    peak, lag = earliest_peak(norm)
+def _preamble_correlation_reference(symbols, block):
+    """The chain's preamble correlation with the full 128-symbol
+    np.correlate against the plain-form preamble."""
+    assert block is PREAMBLE_BLOCK
+    return preamble_correlation_reference(symbols, PREAMBLE_REFERENCE)
+
+
+def _peak_reference(symbols):
+    """(peak, lag, phase_at_peak) as the chain reads them, from the full
+    128-symbol correlation."""
+    corr = _preamble_correlation_reference(symbols, PREAMBLE_BLOCK)
+    peak, lag = earliest_peak(np.abs(corr))
     return peak, lag, float(np.angle(corr[lag]))
 
 
@@ -439,8 +503,10 @@ def test_qpsk_comb_correlation_matches_full_within_rounding():
         bound = np.correlate(np.abs(u), np.abs(PREAMBLE_REFERENCE), mode="valid")
         assert comb.shape == full.shape
         assert np.all(np.abs(comb - full) <= tol * bound)
-        peak, got_lag, phase = _preamble_peak(u)
-        want_peak, want_lag, want_phase = _preamble_peak_reference(u)
+        corr = preamble_correlation(u, PREAMBLE_BLOCK)
+        peak, got_lag = earliest_peak(np.abs(corr))
+        phase = float(np.angle(corr[got_lag]))
+        want_peak, want_lag, want_phase = _peak_reference(u)
         assert got_lag == want_lag
         assert peak == pytest.approx(want_peak, rel=tol, abs=tol)
         assert phase == pytest.approx(want_phase, abs=1e-9)
@@ -470,7 +536,7 @@ def test_qpsk_comb_sync_picks_the_same_lag_and_parity(monkeypatch):
     # frame_start encodes the sync lag and chip parity, so equal reports
     # mean equal picks.
     comb = _sync_limited_reports()
-    monkeypatch.setattr(rx_qpsk, "_preamble_peak", _preamble_peak_reference)
+    monkeypatch.setattr(rx_qpsk, "preamble_correlation", _preamble_correlation_reference)
     assert comb == _sync_limited_reports()
     assert any(found for found, _, _ in comb) and not all(found for found, _, _ in comb)
 
@@ -501,14 +567,18 @@ def test_decision_rate_compensation_decides_as_rotating_the_buffer(monkeypatch):
 
 
 def test_sync_parity_1_wins_only_on_a_strictly_greater_peak(monkeypatch):
-    # Both parities report lag 5; the frame then starts at chip 2*5 + parity
+    # Both parities peak at lag 5; the frame then starts at chip 2*5 + parity
     # of the grid, which begins one chip early.
     buf = _frame_buf(np.zeros(200, dtype=np.uint8))
+
+    def correlation(u, block):
+        corr = np.zeros(6, dtype=np.complex128)
+        corr[5] = next(stub)
+        return corr
+
+    monkeypatch.setattr(rx_qpsk, "preamble_correlation", correlation)
     for peaks, parity in (((0.9, 0.9), 0), ((0.9, 0.9 + 1e-12), 1)):
         stub = iter(peaks)
-        monkeypatch.setattr(
-            rx_qpsk, "_preamble_peak", lambda u: (next(stub), 5, 0.0)
-        )
         report = demodulate(buf, RxConfig(payload_bits=8))
         assert report.frame_start == report.timing.tau_hat + (2 * 5 + parity - 1) * SPS
 
@@ -535,7 +605,7 @@ def test_rb_nan_spectrum_gives_nan_ratio():
 
 def frame_sync_qpsk(symbols):
     """(found, lag) of the preamble peak at the chain's sync threshold."""
-    peak, lag, _ = _preamble_peak(symbols)
+    peak, lag = earliest_peak(np.abs(preamble_correlation(symbols, PREAMBLE_BLOCK)))
     return peak >= SYNC_THRESHOLD, lag
 
 

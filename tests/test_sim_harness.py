@@ -18,6 +18,7 @@ from dualmodem import rx_msk, rx_qpsk, sim_harness
 from dualmodem.complexity_meter import StageOps
 from dualmodem.sim_harness import (
     CSV_COLUMNS,
+    MAX_TAU_SAMPLES,
     _CONFIG_FIELDS,
     SweepConfig,
     ber_sweep,
@@ -117,7 +118,12 @@ def test_sweep_config_validation():
     for sps in (0, 1, 3, 7, -2):
         with pytest.raises(ValueError, match="sps"):
             SweepConfig(sps=sps)
+    # A lead too long to allocate: 1e13 samples is 146 TiB per packet.
+    for tau in (MAX_TAU_SAMPLES + 1.0, 1e9, 1e13):
+        with pytest.raises(ValueError, match="tau_samples"):
+            SweepConfig(tau_samples=tau)
     # The edges of each range are accepted.
+    SweepConfig(tau_samples=float(MAX_TAU_SAMPLES))
     SweepConfig(snr_start_db=2.0, snr_stop_db=2.0, sps=2)
     SweepConfig(f_d_hz=-999_999.0, tau_samples=3.0, match_threshold=0)
     SweepConfig(match_threshold=256, master_seed=0)
