@@ -109,40 +109,28 @@ SYNC_PEAK_MARGIN = 0.05
 SYNC_THRESHOLD = 0.5
 
 
-def comb_correlate(x: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """np.correlate(x, np.tile(block, R), "valid") for the preamble's
-    R = phy_frames.PREAMBLE_REPEATS, computed as the sum of R one-block
-    correlations spaced one block apart: an eighth of the multiply-adds.
-    x must hold at least one whole preamble.
-
-    Only the order of the additions differs from the full correlation, so
-    the result is bit-exact whenever every partial sum is an exact integer
-    (antipodal chips) and within float64 rounding otherwise.
-    """
-    out = np.correlate(x, block, mode="valid")
-    # Pairwise: sums of 2, then 4, then 8 blocks (R is a power of two), in
-    # three vector adds rather than seven.
-    span = block.size
-    while span < phy_frames.PREAMBLE_REPEATS * block.size:
-        out = out[:-span] + out[span:]
-        span *= 2
-    return out
-
-
 def preamble_correlation(stream: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The energy-normalized preamble correlation both chains sync on:
-    comb_correlate(stream, block) over sqrt(window energy * reference
-    energy), the reference being `block` tiled PREAMBLE_REPEATS times.  A
-    stream shorter than one preamble has the single lag 0, with value 0.  On
-    antipodal chips every energy is whole, so each value is exactly the
-    correlation over the preamble length."""
+    """The energy-normalized preamble correlation both chains sync on: the
+    correlation with `block` tiled PREAMBLE_REPEATS times, computed as the
+    sum of one-block correlations spaced one block apart (an eighth of the
+    multiply-adds), over sqrt(window energy * reference energy).  Each chip
+    of either chain's block is +-1 on its rail, so the reference energy is
+    the preamble's chip count.  Only the order of additions differs from
+    the full form: on antipodal chips every partial sum and energy is
+    whole, and each value is exactly the correlation over the preamble
+    length.  A stream shorter than one preamble has the single lag 0, with
+    value 0."""
     n_ref = phy_frames.PREAMBLE_REPEATS * block.size
     if stream.size < n_ref:
         return np.zeros(1, dtype=np.result_type(stream, block))
+    corr = np.correlate(stream, block, mode="valid")
+    span = block.size
+    while span < n_ref:  # pairwise sums of 2, 4 and 8 blocks: three adds, not seven
+        corr = corr[:-span] + corr[span:]
+        span *= 2
     energy = np.concatenate(([0.0], np.cumsum(np.abs(stream) ** 2)))
     window = energy[n_ref:] - energy[:-n_ref]
-    reference = phy_frames.PREAMBLE_REPEATS * float(np.sum(np.abs(block) ** 2))
-    return comb_correlate(stream, block) / (np.sqrt(window * reference) + 1e-30)
+    return corr / (np.sqrt(window * phy_frames.PREAMBLE_CHIPS.size) + 1e-30)
 
 
 def earliest_peak(metric: np.ndarray) -> tuple[float, int]:

@@ -22,6 +22,10 @@ from .tx_oqpsk import IqBuffer
 # two, so that w * RAMP_COLUMNS is exact.
 RAMP_COLUMNS = 128
 
+# The longest lead a packet may open with: 62.5 ms at sps = 8, 14 times the
+# longest 802.15.4 frame, in 16 MB of samples (a lead of 1e9 would ask 16 GB).
+MAX_TAU_SAMPLES = 1_000_000
+
 
 @dataclass
 class ChannelParams:
@@ -42,6 +46,8 @@ class ChannelParams:
             raise ValueError("tau_samples must be non-negative")
         if self.tau_samples != int(self.tau_samples):
             raise ValueError("tau_samples must be a whole number of samples")
+        if self.tau_samples > MAX_TAU_SAMPLES:
+            raise ValueError(f"tau_samples must not exceed {MAX_TAU_SAMPLES}")
         # Keep theta in the principal interval (-pi, pi].
         t = math.remainder(self.theta_rad, 2.0 * math.pi)
         if t <= -math.pi:

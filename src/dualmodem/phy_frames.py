@@ -150,14 +150,19 @@ ANTIPODAL.flags.writeable = False
 PREAMBLE_CHIPS = np.tile(CHIP_TABLE[0], PREAMBLE_REPEATS)
 PREAMBLE_CHIPS.flags.writeable = False
 
+# The longest payload: the standard's largest PSDU, 127 octets.  Its frame
+# spans 8,384 chips, 1 MB of samples at sps = 8, where 4e12 bits ask terabytes.
+MAX_PAYLOAD_BITS = 127 * 8
+
 
 def frame_chips(payload_bits: int, name: str = "payload_bits") -> int:
     """Chips in a frame of `payload_bits` payload bits: the preamble plus 32
     chips per 4-bit symbol.  Raises ValueError, naming the caller's field
-    `name`, unless payload_bits is a positive integer multiple of 4."""
-    if (not isinstance(payload_bits, numbers.Integral) or payload_bits <= 0
-            or payload_bits % BITS_PER_SYMBOL):
-        raise ValueError(f"{name} must be a positive integer multiple of 4")
+    `name`, unless payload_bits is a positive integer multiple of 4 of at
+    most MAX_PAYLOAD_BITS."""
+    if (not isinstance(payload_bits, numbers.Integral) or payload_bits % BITS_PER_SYMBOL
+            or not 0 < payload_bits <= MAX_PAYLOAD_BITS):
+        raise ValueError(f"{name} must be an integer multiple of 4 in [4, {MAX_PAYLOAD_BITS}]")
     return PREAMBLE_CHIPS.size + payload_bits // BITS_PER_SYMBOL * CHIPS_PER_SYMBOL
 
 

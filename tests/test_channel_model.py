@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from dualmodem.channel_model import RAMP_COLUMNS, ChannelParams, apply, noise_sigma, phasor_ramp
+from dualmodem.channel_model import (
+    MAX_TAU_SAMPLES,
+    RAMP_COLUMNS,
+    ChannelParams,
+    apply,
+    noise_sigma,
+    phasor_ramp,
+)
 from dualmodem.tx_oqpsk import IqBuffer
 
 
@@ -43,6 +50,15 @@ def test_fractional_delay_requires_flag():
         ChannelParams(tau_samples=1.5)
     with pytest.raises(ValueError):
         ChannelParams(tau_samples=-1)
+
+
+def test_lead_is_bounded():
+    # 1e13 samples would be 146 TiB per packet; the parameters refuse the
+    # lead before apply allocates anything.
+    for tau in (MAX_TAU_SAMPLES + 1.0, 1e13):
+        with pytest.raises(ValueError, match="tau_samples must not exceed"):
+            ChannelParams(tau_samples=tau)
+    ChannelParams(tau_samples=MAX_TAU_SAMPLES)
 
 
 @pytest.mark.parametrize("field", ["f_d_hz", "theta_rad", "tau_samples", "snr_db"])

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualmodem import phy_frames as pf
+from dualmodem._rxtypes import RxConfig
+from dualmodem.complexity_meter import ComplexityParams
 
 from frame_reference import differential_encode, frame_source_chips, spread_symbols
 
@@ -255,6 +257,20 @@ def test_frame_chips_counts_and_validation():
     for payload_bits in (6, 0, 200.0):
         with pytest.raises(ValueError, match="payload_bits"):
             pf.frame_chips(payload_bits)
+
+
+def test_every_payload_setting_stops_at_the_largest_psdu():
+    # 127 octets, the standard's largest PSDU.  Past it each setting is
+    # refused under its own field name, before any buffer is built.
+    assert pf.MAX_PAYLOAD_BITS >= 1016
+    assert pf.frame_chips(pf.MAX_PAYLOAD_BITS) == 256 + 8 * pf.MAX_PAYLOAD_BITS
+    for bits in (pf.MAX_PAYLOAD_BITS + 4, 4 * 10**12):
+        with pytest.raises(ValueError, match=rf"payload_bits .* \[4, {pf.MAX_PAYLOAD_BITS}\]"):
+            pf.frame_chips(bits)
+        with pytest.raises(ValueError, match="payload_bits"):
+            RxConfig(payload_bits=bits)
+        with pytest.raises(ValueError, match="n_bits"):
+            ComplexityParams(n_bits=bits)
 
 
 def test_preamble_is_eight_repeats_of_row_0():

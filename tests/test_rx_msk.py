@@ -28,6 +28,7 @@ from dualmodem.rx_msk import (
     frame_sync_msk,
     msk_timing,
 )
+from dualmodem.rx_qpsk import PREAMBLE_BLOCK as QPSK_PREAMBLE_BLOCK
 from dualmodem.rx_qpsk import demodulate as demodulate_qpsk
 from dualmodem.tx_oqpsk import IqBuffer, modulate
 
@@ -341,6 +342,14 @@ def test_frame_sync_msk_keeps_the_length_normalized_sync():
         found_any |= found
         lost_any |= not found
     assert found_any and lost_any
+
+
+@pytest.mark.parametrize("block", [PREAMBLE_BLOCK, QPSK_PREAMBLE_BLOCK], ids=["msk", "qpsk"])
+def test_reference_energy_is_the_preamble_chip_count(block):
+    # preamble_correlation takes either chain's reference energy to be the
+    # preamble's chip count: every chip is +-1 on the rail it rides.
+    energy = pf.PREAMBLE_REPEATS * np.sum(np.abs(block) ** 2)
+    assert abs(energy - pf.PREAMBLE_CHIPS.size) <= 1e-15 * pf.PREAMBLE_CHIPS.size
 
 
 @pytest.mark.parametrize("n", [0, 1, 100, 255])

@@ -15,10 +15,10 @@ import pytest
 
 from dualmodem import phy_frames as pf
 from dualmodem import rx_msk, rx_qpsk, sim_harness
+from dualmodem.channel_model import MAX_TAU_SAMPLES
 from dualmodem.complexity_meter import StageOps
 from dualmodem.sim_harness import (
     CSV_COLUMNS,
-    MAX_TAU_SAMPLES,
     _CONFIG_FIELDS,
     SweepConfig,
     ber_sweep,
@@ -118,12 +118,17 @@ def test_sweep_config_validation():
     for sps in (0, 1, 3, 7, -2):
         with pytest.raises(ValueError, match="sps"):
             SweepConfig(sps=sps)
-    # A lead too long to allocate: 1e13 samples is 146 TiB per packet.
+    # A lead or payload too long to allocate: 1e13 samples is 146 TiB per
+    # packet.  The channel and the frame refuse them, and the sweep with them.
     for tau in (MAX_TAU_SAMPLES + 1.0, 1e9, 1e13):
         with pytest.raises(ValueError, match="tau_samples"):
             SweepConfig(tau_samples=tau)
+    for bits in (pf.MAX_PAYLOAD_BITS + 4, 4 * 10**12):
+        with pytest.raises(ValueError, match="payload_bits"):
+            SweepConfig(payload_bits=bits)
     # The edges of each range are accepted.
     SweepConfig(tau_samples=float(MAX_TAU_SAMPLES))
+    SweepConfig(payload_bits=pf.MAX_PAYLOAD_BITS)
     SweepConfig(snr_start_db=2.0, snr_stop_db=2.0, sps=2)
     SweepConfig(f_d_hz=-999_999.0, tau_samples=3.0, match_threshold=0)
     SweepConfig(match_threshold=256, master_seed=0)
@@ -352,6 +357,22 @@ def test_iq_round_trip(tmp_path):
     assert np.max(np.abs(back.samples - buf.samples)) < 1e-6  # float32 rounding
 
 
+def test_iq_round_trip_keeps_zero_signs_infinities_and_nan(tmp_path):
+    # Every pairing of the special values, each exact in float32, on the I
+    # and Q rails: the file holds them as little-endian float32 I,Q pairs,
+    # and the import restores every bit.
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, -1.5])
+    samples = np.empty(values.size**2, dtype=np.complex128)
+    samples.real = np.repeat(values, values.size)
+    samples.imag = np.tile(values, values.size)
+    path = tmp_path / "special.iq"
+    iq_export(IqBuffer(samples=samples, sps=8, chip_rate_hz=2e6), path)
+    raw = np.fromfile(path, dtype="<f4")
+    assert raw[0::2].tobytes() == samples.real.astype("<f4").tobytes()
+    assert raw[1::2].tobytes() == samples.imag.astype("<f4").tobytes()
+    assert iq_import(path).samples.tobytes() == samples.tobytes()
+
+
 def test_iq_export_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         iq_export(IqBuffer(samples=np.zeros(0), sps=8, chip_rate_hz=2e6), tmp_path / "x.iq")
@@ -469,40 +490,74 @@ def test_cli_selftest_checks_the_multiplication_totals(chain, monkeypatch, capsy
     assert "complexity closed forms: FAILED" in capsys.readouterr().out
 
 
-def test_cli_rejects_zero_settings(tmp_path):
-    with pytest.raises(ValueError):
-        main(["complexity", "--sps", "0"])
+def _usage_error(capsys, argv, match=None) -> str:
+    """Run the CLI on argv, which must refuse a setting as argparse refuses
+    a bad flag: exit status 2, nothing on stdout and one `dualmodem
+    <command>: error: ...` line on stderr, which `match` is searched in."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"dualmodem {argv[0]}: error: [^\n]+\n", err), err
+    if match is not None:
+        assert re.search(match, err), err
+    return err
+
+
+def test_cli_rejects_zero_settings(tmp_path, capsys):
+    _usage_error(capsys, ["complexity", "--sps", "0"])
     path = tmp_path / "frame.iq"
     iq_export(modulate(pf.build_frame(np.zeros(200, dtype=np.uint8))), path)
-    with pytest.raises(ValueError):
-        main(["decode", str(path), "--payload-bits", "0"])
+    _usage_error(capsys, ["decode", str(path), "--payload-bits", "0"])
     # msk never reads n_fft, but the setting is checked all the same.
-    with pytest.raises(ValueError, match="n_fft"):
-        main(["decode", str(path), "--mode", "msk", "--nfft", "0"])
-    with pytest.raises(ValueError, match="n_fft"):
-        main(["sweep", "--nfft", "0", "--packets", "1"])
+    _usage_error(capsys, ["decode", str(path), "--mode", "msk", "--nfft", "0"], "n_fft")
+    _usage_error(capsys, ["sweep", "--nfft", "0", "--packets", "1"], "n_fft")
     # Bad impairments and thresholds fail before any packet runs, in the
     # caller and not inside a pool worker.
-    with pytest.raises(ValueError, match="whole number"):
-        main(["sweep", "--tau-samples", "2.5", "--workers", "2", "--packets", "1"])
-    with pytest.raises(ValueError, match="half the chip rate"):
-        main(["sweep", "--fd-hz", "1.5e6", "--packets", "1"])
-    with pytest.raises(ValueError, match="match_threshold"):
-        main(["sweep", "--mode", "auto", "--match-threshold", "300", "--packets", "1"])
-    with pytest.raises(ValueError, match="workers"):
-        main(["sweep", "--workers", "-2", "--packets", "1"])
-    with pytest.raises(ValueError, match="sps"):
-        main(["sweep", "--sps", "3", "--workers", "2", "--packets", "1"])
-    with pytest.raises(ValueError, match="sps"):
-        main(["sweep", "--sps", "0", "--packets", "1"])
-    with pytest.raises(ValueError, match="snr_stop_db"):
-        main(["sweep", "--snr-start", "4", "--snr-stop", "2", "--packets", "1"])
-    with pytest.raises(ValueError, match="finite"):
-        main(["sweep", "--snr-start", "nan", "--packets", "1"])
-    with pytest.raises(ValueError, match="snr_stop_db"):
-        main(["sweep", "--snr-start=-1e308", "--snr-stop=1e308", "--packets", "1"])
-    with pytest.raises(ValueError, match="master_seed"):
-        main(["sweep", "--seed", "-1", "--workers", "2", "--packets", "1"])
+    _usage_error(capsys, ["sweep", "--tau-samples", "2.5", "--workers", "2", "--packets", "1"],
+                 "whole number")
+    _usage_error(capsys, ["sweep", "--fd-hz", "1.5e6", "--packets", "1"], "half the chip rate")
+    _usage_error(capsys, ["sweep", "--mode", "auto", "--match-threshold", "300", "--packets", "1"],
+                 "match_threshold")
+    _usage_error(capsys, ["sweep", "--workers", "-2", "--packets", "1"], "workers")
+    _usage_error(capsys, ["sweep", "--sps", "3", "--workers", "2", "--packets", "1"], "sps")
+    _usage_error(capsys, ["sweep", "--sps", "0", "--packets", "1"], "sps")
+    _usage_error(capsys, ["sweep", "--snr-start", "4", "--snr-stop", "2", "--packets", "1"],
+                 "snr_stop_db")
+    _usage_error(capsys, ["sweep", "--snr-start", "nan", "--packets", "1"], "finite")
+    _usage_error(capsys, ["sweep", "--snr-start=-1e308", "--snr-stop=1e308", "--packets", "1"],
+                 "snr_stop_db")
+    _usage_error(capsys, ["sweep", "--seed", "-1", "--workers", "2", "--packets", "1"],
+                 "master_seed")
+
+
+def test_cli_refuses_an_unallocatable_lead(capsys):
+    # 146 TiB of samples in the first packet.
+    err = _usage_error(capsys, ["sweep", "--tau-samples", "1e13", "--packets", "1",
+                                "--snr-start", "0", "--snr-stop", "0"])
+    assert err == "dualmodem sweep: error: tau_samples must not exceed 1000000\n"
+
+
+def test_cli_refuses_a_bad_config_file(tmp_path, capsys):
+    cfgfile = tmp_path / "s.cfg"
+    for text, match in (("packets 3\n", "expected 'key = value'"),
+                        ("speed = 3\n", "unknown config key 'speed'"),
+                        ("packets = many\n", "config key 'packets'"),
+                        ("exclude-missed = maybe\n", "config key 'exclude_missed'")):
+        cfgfile.write_text(text)
+        _usage_error(capsys, ["sweep", "--config", str(cfgfile)], match)
+
+
+def test_cli_keeps_the_traceback_of_an_error_in_a_packet(monkeypatch, capsys):
+    # Only the settings are usage errors; a fault inside the sweep is not.
+    def fail(*args):
+        raise ValueError("packet fault")
+
+    monkeypatch.setattr(sim_harness, "run_packet", fail)
+    with pytest.raises(ValueError, match="packet fault"):
+        main(["sweep", "--packets", "1", "--snr-start", "0", "--snr-stop", "0"])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -511,15 +566,13 @@ def test_cli_rejects_zero_settings(tmp_path):
         (["--sps", "3"], "sps"),
         (["--nfft", "32"], "n_fft"),
         (["--payload-bits", "0"], "payload_bits"),
+        (["--payload-bits", str(4 * 10**12)], "payload_bits"),
     ],
-    ids=["sps", "nfft", "payload-bits"],
+    ids=["sps", "nfft", "payload-bits", "payload-bits-huge"],
 )
 def test_cli_complexity_rejects_what_sweep_rejects(flags, match, capsys):
-    with pytest.raises(ValueError, match=match):
-        main(["complexity", *flags])
-    with pytest.raises(ValueError, match=match):
-        main(["sweep", "--packets", "1", *flags])
-    assert capsys.readouterr().out == ""
+    _usage_error(capsys, ["complexity", *flags], match)
+    _usage_error(capsys, ["sweep", "--packets", "1", *flags], match)
 
 
 @pytest.mark.parametrize("rate", ["0", "-2e6", "nan", "inf"])
@@ -530,9 +583,7 @@ def test_iq_import_rejects_bad_chip_rate(tmp_path, capsys, rate):
     with pytest.raises(ValueError, match="chip_rate_hz"):
         iq_import(path)
     for mode in ("qpsk", "msk"):
-        with pytest.raises(ValueError, match="chip_rate_hz"):
-            main(["decode", str(path), "--mode", mode])
-    assert capsys.readouterr().out == ""
+        _usage_error(capsys, ["decode", str(path), "--mode", mode], "chip_rate_hz")
 
 
 @pytest.mark.parametrize(
@@ -575,9 +626,7 @@ def test_iq_import_checks_sample_rate(tmp_path, capsys):
         meta.write_text(sidecar)
         with pytest.raises(ValueError, match="sample_rate_hz"):
             iq_import(path)
-        with pytest.raises(ValueError, match="sample_rate_hz"):
-            main(["decode", str(path), "--mode", "qpsk"])
-    assert capsys.readouterr().out == ""
+        _usage_error(capsys, ["decode", str(path), "--mode", "qpsk"], "sample_rate_hz")
     # Any spelling of the right rate is accepted.
     meta.write_text("sample_rate_hz = 16e6\nsps = 8\nchip_rate_hz = 2e6\n")
     assert iq_import(path).sample_rate_hz == 16e6
