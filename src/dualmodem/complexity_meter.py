@@ -274,16 +274,13 @@ class RuntimeCounters:
     def tally_bit_decisions(self, n_bits: int) -> None:
         self.bit_comparisons += int(n_bits)
 
-    def tally_matched_filter(self, n_out: int, n_taps: int) -> None:
-        # Complex data against real taps: two real MACs per tap per sample.
-        self.mf_mults += 2 * n_out * n_taps
-        self.mf_adds += 2 * n_out * (n_taps - 1)
-
-    def tally_tuned_filter(self, n_out: int, n_taps: int) -> None:
-        # Complex data against complex taps: 4 mults and 2 adds per tap,
-        # plus 2 * (n_taps - 1) adds to accumulate each output.
-        self.mf_mults += 4 * n_out * n_taps
-        self.mf_adds += 2 * n_out * n_taps + 2 * n_out * (n_taps - 1)
+    def tally_matched_filter(self, n_out: int, n_taps: int, tuned: bool) -> None:
+        # Complex data against real taps: two real mults per tap.  Taps tuned
+        # to a carrier estimate are complex: 4 mults and 2 adds per tap.
+        # Either way each output accumulates with 2 * (n_taps - 1) adds.
+        per_tap_mults, per_tap_adds = (4, 2) if tuned else (2, 0)
+        self.mf_mults += per_tap_mults * n_out * n_taps
+        self.mf_adds += per_tap_adds * n_out * n_taps + 2 * n_out * (n_taps - 1)
 
     def tally_compensate(self, n_decisions: int) -> None:
         # Per decision: the phase n*w + theta (1 mult, 1 add), then one

@@ -284,8 +284,7 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     f_hz = est.f_d_hat_hz if gate_open else 0.0
     x = matched_filter(buf, phase=phi0, f_hz=f_hz)
     # A nonzero frequency tunes the taps, which makes them complex.
-    tally = counter.tally_tuned_filter if f_hz else counter.tally_matched_filter
-    tally(x.size, 2 * sps)
+    counter.tally_matched_filter(x.size, 2 * sps, tuned=f_hz != 0.0)
     if gate_open:
         instants = range(phi0 + sps, phi0 + sps * (x.size + 1), sps)
         x = compensate(x, est, instants, buf.sample_period_s)

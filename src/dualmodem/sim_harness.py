@@ -268,13 +268,15 @@ def _check_workers(workers: int) -> None:
 
 def ber_sweep(cfg: SweepConfig, workers: int = 0) -> SweepResult:
     """Run the whole SNR grid in any mode, auto included; workers > 1 runs
-    the points in that many processes."""
+    the points in that many processes, but never more than there are points."""
     _check_workers(workers)
     _hold_freed_pages()
     indices = range(cfg.snr_grid().size)
     if workers > 1:
-        # One pool for the whole sweep; map keeps point order.
-        with ProcessPoolExecutor(max_workers=workers, initializer=_hold_freed_pages) as pool:
+        # One pool for the whole sweep; map keeps point order.  A fork pool
+        # starts all its processes at the first submit.
+        with ProcessPoolExecutor(max_workers=min(workers, len(indices)),
+                                 initializer=_hold_freed_pages) as pool:
             points = tuple(pool.map(_sweep_point, itertools.repeat(cfg), indices))
     else:
         points = tuple(_sweep_point(cfg, i) for i in indices)
@@ -402,19 +404,17 @@ def config_from_sources(file_values: dict[str, str], cli_values: dict) -> SweepC
     return SweepConfig(**kwargs)
 
 
-def _add_config_flags(p: argparse.ArgumentParser, keys, defaults: SweepConfig | None) -> None:
-    """One flag per _CONFIG_FIELDS key.  An absent flag reads its field of
-    `defaults`, or None without them, so that it overrides no config-file
-    value; a boolean is a switch that can only turn its setting on."""
+def _add_config_flags(p: argparse.ArgumentParser, keys) -> None:
+    """One flag per _CONFIG_FIELDS key.  An absent flag reads None, so that
+    it overrides no config-file value and config_from_sources applies the
+    default; a boolean is a switch that can only turn its setting on."""
     for key in keys:
-        field, conv = _CONFIG_FIELDS[key]
+        _field, conv = _CONFIG_FIELDS[key]
         flag = "--" + key.replace("_", "-")
         if conv is _parse_bool:
-            p.add_argument(flag, action="store_const", const=True, default=None, dest=key)
+            p.add_argument(flag, action="store_const", const=True, dest=key)
         else:
-            default = None if defaults is None else getattr(defaults, field)
-            choices = _MODES if key == "mode" else None
-            p.add_argument(flag, type=conv, default=default, dest=key, choices=choices)
+            p.add_argument(flag, type=conv, dest=key, choices=_MODES if key == "mode" else None)
 
 
 def _config_from_args(args: argparse.Namespace) -> SweepConfig:
@@ -427,10 +427,11 @@ def _config_from_args(args: argparse.Namespace) -> SweepConfig:
 @contextlib.contextmanager
 def _usage_errors(args):
     """Exit as argparse does on a bad flag (one `prog: error: ...` line, status 2)
-    when a check made before the first packet refuses a setting, file or capture."""
+    when a check made before the first packet refuses a setting, file or capture,
+    or a file cannot be opened."""
     try:
         yield
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         args.parser.exit(2, f"{args.parser.prog}: error: {exc}\n")
 
 
@@ -438,21 +439,20 @@ def _cmd_sweep(args) -> int:
     with _usage_errors(args):
         cfg = _config_from_args(args)
         _check_workers(args.workers)
-    result = ber_sweep(cfg, workers=args.workers)
-    text = sweep_csv(result)
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        # Opened, and so created or truncated, before the first packet, as
+        # shell redirection would.
+        out = (open(args.out, "w", encoding="ascii", newline="") if args.out
+               else contextlib.nullcontext(sys.stdout))
+    with out as fh:
+        fh.write(sweep_csv(ber_sweep(cfg, workers=args.workers)))
     return 0
 
 
 def _cmd_decode(args) -> int:
     with _usage_errors(args):
+        cfg = _config_from_args(args)
         buf = iq_import(args.iq_file)
-        rxcfg = RxConfig(payload_bits=args.payload_bits, n_fft=args.nfft)
-    report = _CHAINS[args.mode].demodulate(buf, rxcfg)
+    report = _CHAINS[cfg.mode].demodulate(buf, RxConfig(cfg.payload_bits, cfg.n_fft))
     if not report.frame_found:
         print("no frame found")
         return 1
@@ -505,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo BER/PER sweep over SNR")
-    _add_config_flags(p_sweep, _CONFIG_FIELDS, None)
+    _add_config_flags(p_sweep, _CONFIG_FIELDS)
     p_sweep.add_argument("--config", default=None, help="key = value file; flags override it")
     p_sweep.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_sweep.add_argument("--workers", type=int, default=0,
@@ -515,11 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decode", help="decode frames from a raw IQ capture")
     p_dec.add_argument("iq_file")
     p_dec.add_argument("--mode", choices=[MODE_QPSK, MODE_MSK], default=MODE_QPSK)
-    _add_config_flags(p_dec, ("payload_bits", "nfft"), SweepConfig())
+    _add_config_flags(p_dec, ("payload_bits", "nfft"))
     p_dec.set_defaults(func=_cmd_decode, parser=p_dec)
 
     p_cx = sub.add_parser("complexity", help="print per-stage operation counts")
-    _add_config_flags(p_cx, ("sps", "payload_bits", "nfft"), SweepConfig())
+    _add_config_flags(p_cx, ("sps", "payload_bits", "nfft"))
     p_cx.set_defaults(func=_cmd_complexity, parser=p_cx)
 
     p_st = sub.add_parser("selftest", help="quick loopback and arithmetic checks")

@@ -207,12 +207,12 @@ def test_cli_flags_follow_the_config_table():
         text = "msk" if key == "mode" else "2"
         _field, conv = _CONFIG_FIELDS[key]
         assert getattr(parser.parse_args(["sweep", flag, text]), key) == conv(text), flag
-    defaults = SweepConfig()
+    # decode and complexity read their settings as sweep does; the defaults
+    # come from config_from_sources alone.
     dec = parser.parse_args(["decode", "x.iq"])
-    assert (dec.payload_bits, dec.nfft) == (defaults.payload_bits, defaults.n_fft)
+    assert (dec.payload_bits, dec.nfft) == (None, None)
     cx = parser.parse_args(["complexity"])
-    assert (cx.sps, cx.payload_bits, cx.nfft) == (defaults.sps, defaults.payload_bits,
-                                                  defaults.n_fft)
+    assert (cx.sps, cx.payload_bits, cx.nfft) == (None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +299,35 @@ TRACED_STAGES = {
     pf: ("build_frame", "despread_stream"),
     sim_harness: ("run_packet", "channel_apply", "modulate", "step_mode", "ProcessPoolExecutor"),
 }
+
+
+def test_a_pool_starts_no_more_processes_than_points(monkeypatch):
+    # A fork pool starts all max_workers processes at its first submit, so
+    # the count must already be capped when the pool is built.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sim_harness, "ProcessPoolExecutor", InProcessPool)
+    two_points = _tiny_cfg(packets_per_point=2)
+    serial = sweep_csv(ber_sweep(two_points))
+    for workers in (2, 3, 10**6):
+        assert sweep_csv(ber_sweep(two_points, workers=workers)) == serial
+    one_point = replace(two_points, snr_stop_db=two_points.snr_start_db)
+    ber_sweep(one_point, workers=8)
+    # workers > 1 still means a pool, however few points there are.
+    assert sizes == [2, 2, 2, 1]
 
 
 def test_every_traced_stage_is_called_through_its_module(monkeypatch):
@@ -403,16 +432,21 @@ def test_iq_import_error_cases(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_cli_sweep_writes_csv(tmp_path):
-    out = tmp_path / "sweep.csv"
-    rc = main([
-        "sweep", "--snr-start", "8", "--snr-stop", "8", "--snr-step", "2",
-        "--packets", "5", "--seed", "2", "--out", str(out),
-    ])
-    assert rc == 0
-    lines = out.read_text().strip().splitlines()
+def test_cli_sweep_writes_csv(tmp_path, capsys):
+    # stdout and --out carry the bytes of the library call.
+    argv = ["sweep", "--snr-start", "8", "--snr-stop", "8", "--snr-step", "2",
+            "--packets", "5", "--seed", "2"]
+    expected = sweep_csv(ber_sweep(SweepConfig(snr_start_db=8.0, snr_stop_db=8.0,
+                                               packets_per_point=5, master_seed=2)))
+    lines = expected.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 2
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "sweep.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == expected.encode("ascii")
 
 
 def test_cli_sweep_uses_config_file(tmp_path, capsys):
@@ -547,6 +581,49 @@ def test_cli_refuses_a_bad_config_file(tmp_path, capsys):
                         ("exclude-missed = maybe\n", "config key 'exclude_missed'")):
         cfgfile.write_text(text)
         _usage_error(capsys, ["sweep", "--config", str(cfgfile)], match)
+
+
+_ONE_PACKET = ["--packets", "1", "--snr-start", "0", "--snr-stop", "0"]
+
+
+# {d} is a directory that holds frame.iq, a capture without its .meta sidecar.
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["sweep", "--config", "{d}/missing.cfg"], "{d}/missing.cfg"),
+        (["sweep", "--config", "{d}"], "{d}"),
+        (["decode", "{d}/missing.iq"], "{d}/missing.iq"),
+        (["decode", "{d}/frame.iq"], "{d}/frame.iq.meta"),
+        (["sweep", *_ONE_PACKET, "--out", "{d}/missing/x.csv"], "{d}/missing/x.csv"),
+        (["sweep", *_ONE_PACKET, "--out", "{d}"], "{d}"),
+    ],
+    ids=["sweep-config-missing", "sweep-config-directory", "decode-capture-missing",
+         "decode-sidecar-missing", "sweep-out-directory-missing", "sweep-out-directory"],
+)
+def test_cli_refuses_a_path_it_cannot_open_before_any_packet(argv, refused, tmp_path, monkeypatch,
+                                                              capsys):
+    iq_export(modulate(pf.build_frame(np.zeros(200, dtype=np.uint8))), tmp_path / "frame.iq")
+    (tmp_path / "frame.iq.meta").unlink()
+    packets = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            packets.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(sim_harness, "run_packet", counted(sim_harness.run_packet))
+    for chain in (rx_qpsk, rx_msk):
+        monkeypatch.setattr(chain, "demodulate", counted(chain.demodulate))
+    err = _usage_error(capsys, [arg.format(d=tmp_path) for arg in argv])
+    assert f"'{refused.format(d=tmp_path)}'" in err
+    assert packets == []
+
+
+def test_cli_opens_no_out_file_for_a_refused_setting(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    _usage_error(capsys, ["sweep", "--packets", "0", "--out", str(out)], "packets_per_point")
+    assert not out.exists()
 
 
 def test_cli_keeps_the_traceback_of_an_error_in_a_packet(monkeypatch, capsys):
