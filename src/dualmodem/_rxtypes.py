@@ -4,7 +4,6 @@ the preamble matches that serve as the SNR indicator of each decoded frame."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -16,8 +15,9 @@ from .tx_oqpsk import IqBuffer
 
 def check_n_fft(n_fft: int) -> None:
     """Raise ValueError unless n_fft (carrier FFT size) is a power of two >= 64."""
-    if not isinstance(n_fft, numbers.Integral) or n_fft < 64 or n_fft & (n_fft - 1):
-        raise ValueError("n_fft must be an integer power of two >= 64")
+    phy_frames.check_integer(n_fft, "n_fft", 64)
+    if n_fft & (n_fft - 1):
+        raise ValueError("n_fft must be a power of two")
 
 
 @dataclass

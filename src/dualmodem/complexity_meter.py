@@ -23,14 +23,13 @@ Counting conventions worth knowing:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import phy_frames
 from ._rxtypes import RxConfig, check_n_fft
-from .tx_oqpsk import DEFAULT_SPS, check_sps
+from .tx_oqpsk import DEFAULT_SPS
 
 STAGE_STR = "Symbol Timing Recovery"
 STAGE_MF_STR = "Matched Filter and Symbol Timing Recovery"
@@ -59,13 +58,10 @@ class ComplexityParams:
     n_fft: int = RxConfig.n_fft
 
     def __post_init__(self):
-        for name in ("l_pulses", "n_preamble"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value <= 0:
-                raise ValueError(f"{name} must be a positive integer")
-        if self.n_sample % 2:
-            raise ValueError("n_sample must be even")
-        check_sps(self.n_sample // 2)  # the sample rates the chains run at
+        phy_frames.check_integer(self.l_pulses, "l_pulses", 1)
+        phy_frames.check_integer(self.n_preamble, "n_preamble", 1)
+        # Two chips' worth at an sps the chains run at (tx_oqpsk.check_sps).
+        phy_frames.check_integer(self.n_sample, "n_sample", 4, step=4)
         phy_frames.frame_chips(self.n_bits, "n_bits")
         check_n_fft(self.n_fft)
 

@@ -51,32 +51,42 @@ CHIP_TABLE = np.array(
 _PACKED_TABLE = np.packbits(CHIP_TABLE, axis=1).view(np.uint32).reshape(-1)
 
 
-def as_bits(values, what: str = "bits") -> np.ndarray:
-    """`values` as a uint8 array; raises ValueError unless every entry is
-    exactly 0 or 1, so 0.7 or 2 is never cast to a valid bit."""
+def check_integer(value, name: str, low: int, high: int | None = None, step: int = 1) -> None:
+    """The one rule for an integer setting, count or index: raise ValueError,
+    naming `name` and the bound, unless `value` is an integer (8.0 is not)
+    in [low, high] (high None: no upper bound) and a multiple of `step`."""
+    if (not isinstance(value, numbers.Integral) or value < low
+            or high is not None and value > high or value % step):
+        kind = "an integer" if step == 1 else f"an integer multiple of {step}"
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {kind} {bound}")
+
+
+def _as_levels(values, top: int, dtype, error: str) -> np.ndarray:
+    """`values` as a `dtype` array; raises ValueError(error) unless every
+    entry is a whole number in [0, top], so 0.7 is never cast to 0 nor 3.7
+    to 3."""
     arr = np.asarray(values)
     if arr.size:
-        if arr.dtype == np.uint8:
-            ok = arr.max() <= 1
+        if arr.dtype.kind == "u":
+            ok = arr.max() <= top
+        elif arr.dtype.kind == "i":
+            ok = arr.min() >= 0 and arr.max() <= top
         else:
-            ok = bool(((arr == 0) | (arr == 1)).all())
+            ok = bool(np.isin(arr, np.arange(top + 1)).all())
         if not ok:
-            raise ValueError(f"{what} must be 0/1 valued")
-    return arr.astype(np.uint8, copy=False)
+            raise ValueError(error)
+    return arr.astype(dtype, copy=False)
+
+
+def as_bits(values, what: str = "bits") -> np.ndarray:
+    """`values` as a uint8 array of 0/1 entries (see _as_levels)."""
+    return _as_levels(values, 1, np.uint8, f"{what} must be 0/1 valued")
 
 
 def _as_symbols(values) -> np.ndarray:
-    """`values` as an int64 array of symbol indices; raises ValueError unless
-    every entry is a whole number in [0, 15], so 3.7 is never cast to 3."""
-    arr = np.asarray(values)
-    if arr.size:
-        if np.issubdtype(arr.dtype, np.integer):
-            ok = arr.min() >= 0 and arr.max() <= 15
-        else:
-            ok = bool(np.isin(arr, np.arange(16)).all())
-        if not ok:
-            raise ValueError("symbol indices must be whole numbers in [0, 15]")
-    return arr.astype(np.int64, copy=False)
+    """`values` as an int64 array of symbol indices in [0, 15] (see _as_levels)."""
+    return _as_levels(values, 15, np.int64, "symbol indices must be whole numbers in [0, 15]")
 
 
 # Weight of each bit within its symbol, LSB first (int64, the symbol dtype).
@@ -160,9 +170,7 @@ def frame_chips(payload_bits: int, name: str = "payload_bits") -> int:
     chips per 4-bit symbol.  Raises ValueError, naming the caller's field
     `name`, unless payload_bits is a positive integer multiple of 4 of at
     most MAX_PAYLOAD_BITS."""
-    if (not isinstance(payload_bits, numbers.Integral) or payload_bits % BITS_PER_SYMBOL
-            or not 0 < payload_bits <= MAX_PAYLOAD_BITS):
-        raise ValueError(f"{name} must be an integer multiple of 4 in [4, {MAX_PAYLOAD_BITS}]")
+    check_integer(payload_bits, name, BITS_PER_SYMBOL, MAX_PAYLOAD_BITS, BITS_PER_SYMBOL)
     return PREAMBLE_CHIPS.size + payload_bits // BITS_PER_SYMBOL * CHIPS_PER_SYMBOL
 
 

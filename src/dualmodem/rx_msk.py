@@ -48,8 +48,7 @@ def diff_detect(buf: IqBuffer, tau: int) -> np.ndarray:
     sps = buf.sps
     if z.size <= sps:
         raise ValueError("buffer must be longer than one chip")
-    if not 0 <= tau < sps:
-        raise ValueError("timing phase must lie in [0, sps)")
+    phy_frames.check_integer(tau, "timing phase tau", 0, sps - 1)
     z = z[tau::sps]
     y = np.zeros(z.size, dtype=np.float64)
     prod = z[1:] * np.conj(z[:-1])

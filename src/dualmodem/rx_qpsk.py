@@ -100,35 +100,29 @@ def matched_filter(buf: IqBuffer, phase: int | None = None, f_hz: float = 0.0):
     k, so compensate can remove a carrier offset from the grid alone.
     """
     sps = buf.sps
+    if phase is not None:
+        phy_frames.check_integer(phase, "phase", 0, sps - 1)
     taps = half_sine_taps(2 * sps)
     if f_hz != 0.0:
         w = 2.0 * np.pi * f_hz * buf.sample_period_s
         taps = taps * np.exp(1j * w * np.arange(taps.size))
     z = buf.samples
     if phase is None:
-        out = np.convolve(z, taps)
-    else:
-        if not 0 <= phase < sps:
-            raise ValueError("phase must lie in [0, sps)")
-        n_out = len(range(phase + sps, z.size + taps.size - 1, sps))
-        # Row k holds input samples phase + 1 + (k-1)*sps .. phase + k*sps,
-        # zero outside the buffer; grid output k is rows k and k+1 dotted
-        # with the reversed taps.  einsum keeps the products in numpy's own
-        # loops: a BLAS matrix-vector product this size starts BLAS worker
-        # threads and touches BLAS buffer memory.
-        lead = sps - 1 - phase
-        padded = np.empty((n_out + 1) * sps, dtype=np.complex128)
-        padded[:lead] = 0.0
-        padded[lead : lead + z.size] = z
-        padded[lead + z.size :] = 0.0
-        rows = padded.reshape(n_out + 1, sps)
-        rev = taps[::-1]
-        out = np.einsum("kp,p->k", rows[:-1], rev[:sps]) + np.einsum(
-            "kp,p->k", rows[1:], rev[sps:]
-        )
-    if phase is not None:
-        return out
-    return IqBuffer(samples=out, sps=sps, chip_rate_hz=buf.chip_rate_hz)
+        return IqBuffer(samples=np.convolve(z, taps), sps=sps, chip_rate_hz=buf.chip_rate_hz)
+    n_out = len(range(phase + sps, z.size + taps.size - 1, sps))
+    # Row k holds input samples phase + 1 + (k-1)*sps .. phase + k*sps,
+    # zero outside the buffer; grid output k is rows k and k+1 dotted with
+    # the reversed taps.  einsum keeps the products in numpy's own loops: a
+    # BLAS matrix-vector product this size starts BLAS worker threads and
+    # touches BLAS buffer memory.
+    lead = sps - 1 - phase
+    padded = np.empty((n_out + 1) * sps, dtype=np.complex128)
+    padded[:lead] = 0.0
+    padded[lead : lead + z.size] = z
+    padded[lead + z.size :] = 0.0
+    rows = padded.reshape(n_out + 1, sps)
+    rev = taps[::-1]
+    return np.einsum("kp,p->k", rows[:-1], rev[:sps]) + np.einsum("kp,p->k", rows[1:], rev[sps:])
 
 
 def elg_timing(buf: IqBuffer, l_pulses: int = 32, *, initial_phase: int) -> TimingEstimate:
@@ -142,8 +136,7 @@ def elg_timing(buf: IqBuffer, l_pulses: int = 32, *, initial_phase: int) -> Timi
     n_pulse = 2 * buf.sps
     if buf.sps <= ELG_DELTA:
         raise ValueError(f"sps must exceed ELG_DELTA = {ELG_DELTA}")
-    if l_pulses < 1:
-        raise ValueError("l_pulses must be positive")
+    phy_frames.check_integer(l_pulses, "l_pulses", 1)
     mag = np.abs(buf.samples)
     if mag.size < 3 * n_pulse:
         raise ValueError("buffer too short for the early-late gate")

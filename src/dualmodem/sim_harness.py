@@ -16,7 +16,7 @@ import argparse
 import contextlib
 import ctypes
 import itertools
-import numbers
+import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -84,21 +84,16 @@ class SweepConfig:
             raise ValueError(f"snr_start_db to snr_stop_db spans {MAX_SNR_STEPS} snr_step_db"
                              " steps or more")
         check_sps(self.sps)
-        for name in ("packets_per_point", "master_seed", "match_threshold"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.packets_per_point < 1:
-            raise ValueError("packets_per_point must be at least 1")
+        phy_frames.check_integer(self.packets_per_point, "packets_per_point", 1)
+        phy_frames.check_integer(self.master_seed, "master_seed", 0)
+        phy_frames.check_integer(self.match_threshold, "match_threshold", 0,
+                                 phy_frames.PREAMBLE_CHIPS.size)
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
         RxConfig(self.payload_bits, self.n_fft)  # validates the receiver settings
         theta = 0.0 if self.theta_rad is None else self.theta_rad
         ChannelParams(self.f_d_hz, theta, self.tau_samples)  # validates the impairments
         check_offset(self.f_d_hz, CHIP_RATE_HZ)
-        if not 0 <= self.match_threshold <= phy_frames.PREAMBLE_CHIPS.size:
-            raise ValueError(f"match_threshold must lie in [0, {phy_frames.PREAMBLE_CHIPS.size}]")
         if not isinstance(self.exclude_missed, (bool, np.bool_)):
             raise ValueError("exclude_missed must be a bool")
 
@@ -261,21 +256,17 @@ def _hold_freed_pages() -> None:
     mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 0:
-        raise ValueError("workers must be non-negative")
-
-
 def ber_sweep(cfg: SweepConfig, workers: int = 0) -> SweepResult:
     """Run the whole SNR grid in any mode, auto included; workers > 1 runs
-    the points in that many processes, but never more than there are points."""
-    _check_workers(workers)
+    the points in a pool of that many processes, but never more than there
+    are points or CPUs."""
+    phy_frames.check_integer(workers, "workers", 0)
     _hold_freed_pages()
     indices = range(cfg.snr_grid().size)
     if workers > 1:
         # One pool for the whole sweep; map keeps point order.  A fork pool
         # starts all its processes at the first submit.
-        with ProcessPoolExecutor(max_workers=min(workers, len(indices)),
+        with ProcessPoolExecutor(max_workers=min(workers, len(indices), os.cpu_count() or 1),
                                  initializer=_hold_freed_pages) as pool:
             points = tuple(pool.map(_sweep_point, itertools.repeat(cfg), indices))
     else:
@@ -438,7 +429,7 @@ def _usage_errors(args):
 def _cmd_sweep(args) -> int:
     with _usage_errors(args):
         cfg = _config_from_args(args)
-        _check_workers(args.workers)
+        phy_frames.check_integer(args.workers, "workers", 0)
         # Opened, and so created or truncated, before the first packet, as
         # shell redirection would.
         out = (open(args.out, "w", encoding="ascii", newline="") if args.out

@@ -23,12 +23,11 @@ symbol boundary, and phy_frames.build_frame gathers pre-encoded rows.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .phy_frames import as_bits
+from .phy_frames import as_bits, check_integer
 
 CHIP_RATE_HZ = 2_000_000.0
 DEFAULT_SPS = 8  # samples per chip
@@ -43,8 +42,7 @@ SIGN_PATTERN_BITS = np.array([0, 1, 1, 0], dtype=np.uint8)
 
 def check_sps(sps: int) -> None:
     """Raise ValueError unless sps (samples per chip) is an even integer >= 2."""
-    if not isinstance(sps, numbers.Integral) or sps < 2 or sps % 2:
-        raise ValueError("sps must be an even integer >= 2")
+    check_integer(sps, "sps", 2, step=2)
 
 
 @dataclass
@@ -81,8 +79,7 @@ def half_sine_taps(n_samples: int) -> np.ndarray:
 
     N is the full pulse support: two chip periods, i.e. N = 2*sps.
     """
-    if n_samples < 4 or n_samples % 2:
-        raise ValueError("pulse length must be an even integer >= 4")
+    check_integer(n_samples, "n_samples", 4, step=2)
     n = np.arange(n_samples)
     return np.sin(np.pi * n / n_samples)
 

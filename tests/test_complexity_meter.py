@@ -97,11 +97,10 @@ def test_counts_scale_with_parameters():
 def test_params_validation():
     with pytest.raises(ValueError, match="n_fft"):
         ComplexityParams(n_fft=1000)
-    with pytest.raises(ValueError):
-        ComplexityParams(n_sample=15)
-    # n_sample is two chips' worth of samples, at an sps some chain runs.
-    for n_sample in (6, 2, 0):
-        with pytest.raises(ValueError, match="sps"):
+    # n_sample is two chips' worth of samples, at an sps some chain runs:
+    # a multiple of 4, named as the model's own field.
+    for n_sample in (15, 6, 2, 0):
+        with pytest.raises(ValueError, match="n_sample"):
             ComplexityParams(n_sample=n_sample)
     # The receiver's rules (frame_chips, check_n_fft), under the model's
     # own field names.

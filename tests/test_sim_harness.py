@@ -301,9 +301,10 @@ TRACED_STAGES = {
 }
 
 
-def test_a_pool_starts_no_more_processes_than_points(monkeypatch):
-    # A fork pool starts all max_workers processes at its first submit, so
-    # the count must already be capped when the pool is built.
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool ber_sweep builds, on a host of 8 CPUs.
+    The pool maps in this process, so no real process starts."""
     sizes = []
 
     class InProcessPool:
@@ -320,6 +321,13 @@ def test_a_pool_starts_no_more_processes_than_points(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(sim_harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(sim_harness.os, "cpu_count", lambda: 8)
+    return sizes
+
+
+def test_a_pool_starts_no_more_processes_than_points(pool_sizes):
+    # A fork pool starts all max_workers processes at its first submit, so
+    # the count must already be capped when the pool is built.
     two_points = _tiny_cfg(packets_per_point=2)
     serial = sweep_csv(ber_sweep(two_points))
     for workers in (2, 3, 10**6):
@@ -327,7 +335,25 @@ def test_a_pool_starts_no_more_processes_than_points(monkeypatch):
     one_point = replace(two_points, snr_stop_db=two_points.snr_start_db)
     ber_sweep(one_point, workers=8)
     # workers > 1 still means a pool, however few points there are.
-    assert sizes == [2, 2, 2, 1]
+    assert pool_sizes == [2, 2, 2, 1]
+
+
+@pytest.mark.parametrize("cpus, size", [(4, 4), (1, 1), (None, 1)])
+def test_a_pool_starts_no_more_processes_than_cpus(pool_sizes, monkeypatch, cpus, size):
+    monkeypatch.setattr(sim_harness.os, "cpu_count", lambda: cpus)
+    ten_points = _tiny_cfg(snr_start_db=0.0, snr_stop_db=9.0, snr_step_db=1.0,
+                           packets_per_point=1)
+    assert sweep_csv(ber_sweep(ten_points, workers=10**6)) == sweep_csv(ber_sweep(ten_points))
+    assert pool_sizes == [size]
+
+
+def test_a_refused_worker_count_builds_no_pool(pool_sizes):
+    three_points = _tiny_cfg(snr_stop_db=14.0, packets_per_point=1)
+    assert three_points.snr_grid().size == 3
+    for workers in (2.5, 2.0, -1, "2"):
+        with pytest.raises(ValueError, match="workers"):
+            ber_sweep(three_points, workers=workers)
+    assert pool_sizes == []
 
 
 def test_every_traced_stage_is_called_through_its_module(monkeypatch):
