@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import phy_frames
 from .tx_oqpsk import IqBuffer
 
 # Columns of phasor_ramp's fine table: the ramp's row length.  A power of
@@ -48,6 +49,8 @@ class ChannelParams:
             raise ValueError("tau_samples must be a whole number of samples")
         if self.tau_samples > MAX_TAU_SAMPLES:
             raise ValueError(f"tau_samples must not exceed {MAX_TAU_SAMPLES}")
+        if self.seed is not None:
+            phy_frames.check_integer(self.seed, "seed", 0)
         # Keep theta in the principal interval (-pi, pi].
         t = math.remainder(self.theta_rad, 2.0 * math.pi)
         if t <= -math.pi:

@@ -131,7 +131,8 @@ def elg_timing(buf: IqBuffer, l_pulses: int = 32, *, initial_phase: int) -> Timi
     Per pulse, compares |z| at the candidate phase p against p +- ELG_DELTA
     and nudges p toward the larger neighbour.  Samples accumulate while the
     candidate holds still, so decisions sharpen between shifts; three
-    consecutive no-shift decisions end the search.
+    consecutive no-shift decisions end the search.  A start whose first
+    pulse has no early or late sample in the buffer is refused.
     """
     n_pulse = 2 * buf.sps
     if buf.sps <= ELG_DELTA:
@@ -140,6 +141,8 @@ def elg_timing(buf: IqBuffer, l_pulses: int = 32, *, initial_phase: int) -> Timi
     mag = np.abs(buf.samples)
     if mag.size < 3 * n_pulse:
         raise ValueError("buffer too short for the early-late gate")
+    phy_frames.check_integer(initial_phase, "initial_phase", ELG_DELTA - n_pulse,
+                             mag.size - n_pulse - ELG_DELTA - 1)
 
     phase = int(initial_phase)
     acc_e = acc_m = acc_l = 0.0

@@ -71,7 +71,6 @@ class SweepConfig:
     theta_rad: float | None = None
     tau_samples: float = 0.0
     match_threshold: int = DEFAULT_MATCH_THRESHOLD
-    exclude_missed: bool = False
 
     def __post_init__(self):
         if not np.isfinite((self.snr_start_db, self.snr_stop_db, self.snr_step_db)).all():
@@ -94,8 +93,6 @@ class SweepConfig:
         theta = 0.0 if self.theta_rad is None else self.theta_rad
         ChannelParams(self.f_d_hz, theta, self.tau_samples)  # validates the impairments
         check_offset(self.f_d_hz, CHIP_RATE_HZ)
-        if not isinstance(self.exclude_missed, (bool, np.bool_)):
-            raise ValueError("exclude_missed must be a bool")
 
     def snr_grid(self) -> np.ndarray:
         n = int(np.floor((self.snr_stop_db - self.snr_start_db) / self.snr_step_db + 1e-9)) + 1
@@ -192,14 +189,7 @@ def _aggregate_point(cfg: SweepConfig, snr_db: float, records: list[PacketRecord
     match_sum = sum(r.preamble_match for r in records)
     n_qpsk = sum(r.mode == MODE_QPSK for r in records)
 
-    if cfg.exclude_missed:
-        bit_errors = sum(r.bit_errors for r in records if r.frame_found)
-        denom = detected * cfg.payload_bits
-    else:
-        bit_errors = sum(r.bit_errors for r in records)
-        denom = packets * cfg.payload_bits
-    # With missed frames excluded and none detected, the BER is undefined.
-    ber = bit_errors / denom if denom else float("nan")
+    bit_errors = sum(r.bit_errors for r in records)
     packet_errors = sum(1 for r in records if r.bit_errors > 0 or not r.frame_found)
     adds = sum(per_chain[r.mode].additions_total for r in records)
     mults = sum(per_chain[r.mode].multiplications_total for r in records)
@@ -209,7 +199,7 @@ def _aggregate_point(cfg: SweepConfig, snr_db: float, records: list[PacketRecord
         packets=packets,
         frames_detected=int(detected),
         bit_errors=int(bit_errors),
-        ber=ber,
+        ber=bit_errors / (packets * cfg.payload_bits),
         per=packet_errors / packets,
         mean_preamble_match=match_sum / packets,
         adds_total=int(adds),
@@ -345,16 +335,6 @@ def parse_config(path) -> dict[str, str]:
     return out
 
 
-def _parse_bool(text: str) -> bool:
-    """1/0, true/false or yes/no, in any case."""
-    lower = text.lower()
-    if lower in ("1", "true", "yes"):
-        return True
-    if lower in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected 1/0, true/false or yes/no, not {text!r}")
-
-
 # Every sweep setting: config-file key -> (SweepConfig field, converter of
 # its text).  The key is also the CLI flag's dest, and the flag is `--` plus
 # the key with '-' for '_' (see _add_config_flags).
@@ -372,7 +352,6 @@ _CONFIG_FIELDS = {
     "theta_rad": ("theta_rad", float),
     "tau_samples": ("tau_samples", float),
     "match_threshold": ("match_threshold", int),
-    "exclude_missed": ("exclude_missed", _parse_bool),
 }
 
 
@@ -398,14 +377,11 @@ def config_from_sources(file_values: dict[str, str], cli_values: dict) -> SweepC
 def _add_config_flags(p: argparse.ArgumentParser, keys) -> None:
     """One flag per _CONFIG_FIELDS key.  An absent flag reads None, so that
     it overrides no config-file value and config_from_sources applies the
-    default; a boolean is a switch that can only turn its setting on."""
+    default."""
     for key in keys:
         _field, conv = _CONFIG_FIELDS[key]
-        flag = "--" + key.replace("_", "-")
-        if conv is _parse_bool:
-            p.add_argument(flag, action="store_const", const=True, dest=key)
-        else:
-            p.add_argument(flag, type=conv, dest=key, choices=_MODES if key == "mode" else None)
+        p.add_argument("--" + key.replace("_", "-"), type=conv, dest=key,
+                       choices=_MODES if key == "mode" else None)
 
 
 def _config_from_args(args: argparse.Namespace) -> SweepConfig:

@@ -1,7 +1,6 @@
 """Tests for the batch simulation driver and CLI."""
 
 import hashlib
-import math
 import os
 import platform
 import re
@@ -100,10 +99,6 @@ def test_sweep_config_validation():
         SweepConfig(match_threshold=-1)
     with pytest.raises(ValueError, match="master_seed"):
         SweepConfig(master_seed=-1)
-    # A string is truthy, so "no" would exclude missed frames.
-    for value in ("no", 1, None):
-        with pytest.raises(ValueError, match="exclude_missed"):
-            SweepConfig(exclude_missed=value)
     # A bad grid or sps fails here, not in snr_grid or at the first packet.
     for field in ("snr_start_db", "snr_stop_db", "snr_step_db"):
         for value in (float("nan"), float("inf"), -float("inf")):
@@ -132,7 +127,6 @@ def test_sweep_config_validation():
     SweepConfig(snr_start_db=2.0, snr_stop_db=2.0, sps=2)
     SweepConfig(f_d_hz=-999_999.0, tau_samples=3.0, match_threshold=0)
     SweepConfig(match_threshold=256, master_seed=0)
-    SweepConfig(exclude_missed=np.bool_(True))
 
 
 def test_parse_config_and_precedence(tmp_path):
@@ -164,16 +158,6 @@ def test_parse_config_rejects_bad_lines(tmp_path):
         config_from_sources({"packets": "ten"}, {})
 
 
-def test_config_file_booleans():
-    for text, value in (("1", True), ("TRUE", True), ("Yes", True),
-                        ("0", False), ("false", False), ("NO", False)):
-        assert config_from_sources({"exclude_missed": text}, {}).exclude_missed is value
-    # Anything else is an error, never a silent False.
-    for text in ("ture", "on", "2", ""):
-        with pytest.raises(ValueError, match="'exclude_missed'"):
-            config_from_sources({"exclude_missed": text}, {})
-
-
 # Every `dualmodem sweep` settings flag and its dest, as scripts and the
 # sweep benchmark spell them.
 SWEEP_FLAGS = {
@@ -190,7 +174,6 @@ SWEEP_FLAGS = {
     "--theta-rad": "theta_rad",
     "--tau-samples": "tau_samples",
     "--match-threshold": "match_threshold",
-    "--exclude-missed": "exclude_missed",
 }
 
 
@@ -201,9 +184,6 @@ def test_cli_flags_follow_the_config_table():
     for flag, key in SWEEP_FLAGS.items():
         # An absent flag leaves a config-file value standing.
         assert getattr(absent, key) is None, key
-        if key == "exclude_missed":
-            assert parser.parse_args(["sweep", flag]).exclude_missed is True
-            continue
         text = "msk" if key == "mode" else "2"
         _field, conv = _CONFIG_FIELDS[key]
         assert getattr(parser.parse_args(["sweep", flag, text]), key) == conv(text), flag
@@ -277,17 +257,25 @@ def test_high_snr_sweep_is_clean():
     assert point.adds_total > 0 and point.mults_total > 0
 
 
-def test_exclude_missed_changes_denominator():
-    cfg = _tiny_cfg(snr_start_db=-30.0, snr_stop_db=-30.0, packets_per_point=10)
-    with_missed = ber_sweep(cfg).points[0]
-    assert with_missed.frames_detected == 0
-    assert with_missed.ber == 1.0 and with_missed.per == 1.0
-    result = ber_sweep(_tiny_cfg(snr_start_db=-30.0, snr_stop_db=-30.0, packets_per_point=10,
-                                 exclude_missed=True))
-    excl = result.points[0]
-    assert math.isnan(excl.ber)  # nothing detected, no bit to count
-    assert excl.per == 1.0 and excl.frames_missed == 10
-    assert ",nan,1," in sweep_csv(result)
+def test_detected_frame_errors_follow_from_the_csv():
+    # A missed frame books every payload bit as an error, so the CSV row
+    # gives the errors of the detected frames alone.
+    # qpsk misses some frames and decodes others with errors at -14 dB, and
+    # finds none at -30 dB.
+    cfg = _tiny_cfg(snr_start_db=-30.0, snr_stop_db=-14.0, snr_step_db=16.0,
+                    packets_per_point=40)
+    points = ber_sweep(cfg).points
+    for index, point in enumerate(points):
+        records = [run_packet(cfg, point.snr_db, index, p, "qpsk")
+                   for p in range(cfg.packets_per_point)]
+        detected = sum(r.bit_errors for r in records if r.frame_found)
+        missed = point.packets - point.frames_detected
+        assert point.bit_errors - missed * cfg.payload_bits == detected
+        assert point.ber == point.bit_errors / (point.packets * cfg.payload_bits)
+    deaf, mixed = points
+    assert deaf.frames_detected == 0 and deaf.ber == 1.0 and deaf.per == 1.0
+    assert 0 < mixed.frames_detected < mixed.packets
+    assert mixed.bit_errors > (mixed.packets - mixed.frames_detected) * cfg.payload_bits
 
 
 # The stages the sweep benchmark traces by replacing module attributes from
@@ -604,12 +592,30 @@ def test_cli_refuses_a_bad_config_file(tmp_path, capsys):
     for text, match in (("packets 3\n", "expected 'key = value'"),
                         ("speed = 3\n", "unknown config key 'speed'"),
                         ("packets = many\n", "config key 'packets'"),
-                        ("exclude-missed = maybe\n", "config key 'exclude_missed'")):
+                        ("sps = eight\n", "config key 'sps'")):
         cfgfile.write_text(text)
         _usage_error(capsys, ["sweep", "--config", str(cfgfile)], match)
 
 
 _ONE_PACKET = ["--packets", "1", "--snr-start", "0", "--snr-stop", "0"]
+
+
+def test_cli_refuses_the_retired_exclude_missed_setting(tmp_path, monkeypatch, capsys):
+    # A missed frame always counts; a script that asks otherwise must fail
+    # before any packet, never run a sweep that counts them silently.
+    monkeypatch.setattr(sim_harness, "run_packet", None)
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", *_ONE_PACKET, "--exclude-missed"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    # argparse's own refusal: a usage line, then one error line.
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "dualmodem: error: unrecognized arguments: --exclude-missed"]
+    cfgfile = tmp_path / "s.cfg"
+    cfgfile.write_text("exclude-missed = 1\n")
+    _usage_error(capsys, ["sweep", *_ONE_PACKET, "--config", str(cfgfile)],
+                 "unknown config key 'exclude_missed'")
 
 
 # {d} is a directory that holds frame.iq, a capture without its .meta sidecar.
