@@ -1,6 +1,7 @@
-"""Records, the symbol timing stage, the preamble correlation and peak pick
-and the frame tail shared by the two receiver chains.  The tail also counts
-the preamble matches that serve as the SNR indicator of each decoded frame."""
+"""Records, the symbol timing stage, the preamble correlation and peak pick,
+and the receiver pipeline both chains run (receive).  The pipeline owns the
+frame around a chain's detector and counts the preamble matches that serve
+as the SNR indicator of each decoded frame."""
 
 from __future__ import annotations
 
@@ -10,14 +11,8 @@ from typing import Any
 import numpy as np
 
 from . import phy_frames
+from .complexity_meter import ComplexityParams, RuntimeCounters, check_n_fft
 from .tx_oqpsk import IqBuffer
-
-
-def check_n_fft(n_fft: int) -> None:
-    """Raise ValueError unless n_fft (carrier FFT size) is a power of two >= 64."""
-    phy_frames.check_integer(n_fft, "n_fft", 64)
-    if n_fft & (n_fft - 1):
-        raise ValueError("n_fft must be a power of two")
 
 
 @dataclass
@@ -25,8 +20,8 @@ class RxConfig:
     """Settings common to both demodulators: the expected payload length
     and the carrier FFT size (qpsk only)."""
 
-    payload_bits: int = 200
-    n_fft: int = 2048
+    payload_bits: int = ComplexityParams.n_bits
+    n_fft: int = ComplexityParams.n_fft
 
     def __post_init__(self):
         phy_frames.frame_chips(self.payload_bits)  # validates the payload length
@@ -37,7 +32,7 @@ def erase_non_finite(buf: IqBuffer) -> IqBuffer:
     """buf itself when every sample is finite; otherwise a copy with each NaN
     or infinite sample erased to 0.
 
-    Both chains start here.  Left in place, one such sample wins
+    receive starts here, for both chains.  Left in place, one such sample wins
     msk_timing's argmax or turns every later preamble-energy window NaN,
     and an infinite one raises invalid-value warnings downstream.
     """
@@ -84,7 +79,9 @@ def msk_timing(buf: IqBuffer) -> MskTimingStat:
 
 @dataclass
 class DemodReport:
-    """What a receiver chain recovered from one buffer."""
+    """What a receiver chain recovered from one buffer.  frame_start is -1
+    when tau_hat lands one sample early (within its tolerance) on a burst at
+    sample 0: the frame then starts one sample before the buffer."""
 
     mode: str
     frame_start: int | None = None
@@ -151,29 +148,35 @@ def earliest_peak(metric: np.ndarray) -> tuple[float, int]:
     return float(metric[lag]), lag
 
 
-def finish_frame(report: DemodReport, chips, start: int, sps: int, cfg: RxConfig,
-                 counter) -> DemodReport:
-    """The frame tail of both chains: decode the frame from `chips`, its
-    source (pre-encoding) chips from its first chip on, unless they end
-    before the frame does.
+def receive(mode: str, detect, buf: IqBuffer, cfg: RxConfig | None = None,
+            counter: RuntimeCounters | None = None) -> DemodReport:
+    """Both chains' demodulate: the frame around a chain's detector.
 
-    `start` is the index of the frame's first chip among the chain's
-    decisions.  Both chains decide chips on a grid that starts one chip
-    early, so that a timing phase one sample under the truth (tau_hat =
-    truth - 1 mod sps, which advances every decision by a chip) keeps the
-    whole frame on it; the frame starts at sample
-    report.timing.tau_hat + (start - 1) * sps.  Counts the preamble chips
-    that match the known preamble (the SNR indicator: 256 minus the Hamming
-    distance) and despreads the payload chips that follow it.
+    Erases non-finite samples; a buffer under two chips has no frame.
+    detect(buf, cfg, counter, report) sets report.timing, books its stages,
+    and returns None when nothing syncs, or the frame's source (pre-encoding)
+    chips from its first chip on and that chip's index, start, among its
+    decisions.  These start one chip early, so that a timing phase one sample
+    under the truth keeps the whole frame; it starts at sample
+    report.timing.tau_hat + (start - 1) * sps.  Unless the chips end first,
+    the tail counts the preamble chips that match (the SNR indicator: 256
+    minus the Hamming distance) and despreads the payload.
     """
-    n_chips = phy_frames.frame_chips(cfg.payload_bits)
-    if n_chips > len(chips):
+    cfg = cfg or RxConfig()
+    counter = counter or RuntimeCounters()
+    buf = erase_non_finite(buf)
+    report = DemodReport(mode=mode)
+    if buf.samples.size < 2 * buf.sps:
         return report
+    synced = detect(buf, cfg, counter, report)
+    n_chips = phy_frames.frame_chips(cfg.payload_bits)
+    if synced is None or n_chips > len(synced[0]):
+        return report
+    chips, start = synced
     chips = phy_frames.as_bits(chips[:n_chips], "chips")
-    preamble = phy_frames.PREAMBLE_CHIPS
-    n = preamble.size
-    report.frame_start = report.timing.tau_hat + (start - 1) * sps
-    report.preamble_match_count = n - int(np.count_nonzero(chips[:n] ^ preamble))
+    n = phy_frames.PREAMBLE_CHIPS.size
+    report.frame_start = report.timing.tau_hat + (start - 1) * buf.sps
+    report.preamble_match_count = n - int(np.count_nonzero(chips[:n] ^ phy_frames.PREAMBLE_CHIPS))
     symbols, _ = phy_frames.despread_stream(chips[n:])
     counter.tally_despread(symbols.size)
     report.payload_bits = phy_frames.symbols_to_bits(symbols)

@@ -4,10 +4,10 @@ Two layers live here.  The closed forms (msk_op_counts, qpsk_op_counts) price
 each pipeline stage from its parameters, using the canonical radix-2
 transform cost for the FFT stage regardless of how the runtime computes its
 spectra.  RuntimeCounters rides along every receiver run and tallies what
-the stages actually did, for cross-checking the closed forms: each
-demodulator, and the frame tail they share, books the stages it ran, right
-after calling them, into the caller's counter or a fresh one, and the
-stages themselves never see it.
+the stages actually did, for cross-checking the closed forms: each chain's
+detector, and the receiver pipeline that runs it (_rxtypes.receive), books
+the stages it ran, right after calling them, into the caller's counter or a
+fresh one, and the stages themselves never see it.
 
 Counting conventions worth knowing:
 
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phy_frames
-from ._rxtypes import RxConfig, check_n_fft
 from .tx_oqpsk import DEFAULT_SPS
 
 STAGE_STR = "Symbol Timing Recovery"
@@ -40,6 +39,13 @@ STAGE_BIT_DETECT = "Bit Detection"
 STAGE_DIFF_DETECT = "Differential Detection"
 
 
+def check_n_fft(n_fft: int) -> None:
+    """Raise ValueError unless n_fft (carrier FFT size) is a power of two >= 64."""
+    phy_frames.check_integer(n_fft, "n_fft", 64)
+    if n_fft & (n_fft - 1):
+        raise ValueError("n_fft must be a power of two")
+
+
 @dataclass(frozen=True)
 class ComplexityParams:
     """Stage-cost parameters.
@@ -48,14 +54,14 @@ class ComplexityParams:
     n_sample: samples per pulse (two chips worth).
     n_preamble: preamble symbols correlated per frame-sync search.
     n_bits: payload bits per frame.
-    n_fft: carrier-recovery transform length.
+    n_fft: carrier-recovery transform length; with n_bits, RxConfig's default.
     """
 
     l_pulses: int = 32
     n_sample: int = 2 * DEFAULT_SPS
     n_preamble: int = 64
-    n_bits: int = RxConfig.payload_bits
-    n_fft: int = RxConfig.n_fft
+    n_bits: int = 200
+    n_fft: int = 2048
 
     def __post_init__(self):
         phy_frames.check_integer(self.l_pulses, "l_pulses", 1)
@@ -225,8 +231,8 @@ _RUNTIME_STAGES = (
 
 @dataclass
 class RuntimeCounters:
-    """Arithmetic tallies of receiver runs, booked by the two demodulate
-    functions and their shared tail (see the module docstring).
+    """Arithmetic tallies of receiver runs, booked by the two chains'
+    detectors and the pipeline they share (see the module docstring).
 
     Frame-sync and chip-to-symbol tallies reproduce the closed forms
     exactly (same conventions).  Matched filter and differential detection

@@ -1,8 +1,8 @@
 """SNR-driven switching between the coherent and non-coherent chains.
 
 The preamble match count of each decoded frame (256 minus the Hamming
-distance to the known preamble), which the receivers' shared frame tail
-computes (_rxtypes.finish_frame), acts as the link-quality indicator.  A run of
+distance to the known preamble), which the receivers' shared pipeline
+computes (_rxtypes.receive), acts as the link-quality indicator.  A run of
 good verdicts promotes the receiver to the cheap MSK chain; a single poor
 verdict (or a missed frame) demotes it back to the robust QPSK chain.  Mode
 changes happen only between packets.

@@ -21,12 +21,10 @@ from ._rxtypes import (
     DemodReport,
     RxConfig,
     earliest_peak,
-    erase_non_finite,
-    finish_frame,
     msk_timing,
     preamble_correlation,
+    receive,
 )
-from .complexity_meter import RuntimeCounters
 from .tx_oqpsk import IqBuffer
 
 DIFF_DETECT_EPS = 1e-12
@@ -63,7 +61,7 @@ def detect_chips(y: np.ndarray) -> np.ndarray:
     means chip 1, and exact zeros (e.g. dead air) decide 0.
 
     y[0] has no lagged sample, so the first chip always decides 0.  It is
-    kept as the grid's early chip (_rxtypes.finish_frame), and demodulate
+    kept as the grid's early chip (_rxtypes.receive), and the detector
     books only the other y.size - 1 chips as decisions.
     """
     return (y > 0).astype(np.uint8)
@@ -82,17 +80,8 @@ def frame_sync_msk(chips) -> tuple[bool, int]:
     return bool(peak >= SYNC_THRESHOLD), best
 
 
-def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> DemodReport:
-    """Full non-coherent chain: timing, phase-difference detection, frame
-    sync, despreading.  No carrier estimate is produced or needed."""
-    cfg = cfg or RxConfig()
-    counter = counter or RuntimeCounters()
-    buf = erase_non_finite(buf)
-    sps = buf.sps
-
-    report = DemodReport(mode="msk")
-    if buf.samples.size < 2 * sps:
-        return report
+def _detect(buf: IqBuffer, cfg: RxConfig, counter, report: DemodReport):
+    """The chain's detector for _rxtypes.receive; its hard chips are the source chips."""
     report.timing = msk_timing(buf)
     chips = detect_chips(diff_detect(buf, report.timing.tau_hat))
     found, c0 = frame_sync_msk(chips)
@@ -101,6 +90,9 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     counter.tally_bit_decisions(chips.size - 1)
     n_ref = phy_frames.PREAMBLE_CHIPS.size
     counter.tally_correlation_search(n_ref, chips.size - n_ref + 1)
-    if not found:
-        return report
-    return finish_frame(report, chips[c0:], c0, sps, cfg, counter)
+    return (chips[c0:], c0) if found else None
+
+
+def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> DemodReport:
+    """Full non-coherent chain; it neither produces nor needs a carrier estimate."""
+    return receive("msk", _detect, buf, cfg, counter)

@@ -37,15 +37,13 @@ from ._rxtypes import (
     SYNC_THRESHOLD,
     DemodReport,
     RxConfig,
-    check_n_fft,
     earliest_peak,
-    erase_non_finite,
-    finish_frame,
     msk_timing,
     preamble_correlation,
+    receive,
 )
 from .channel_model import phasor_ramp
-from .complexity_meter import RuntimeCounters
+from .complexity_meter import check_n_fft
 from .tx_oqpsk import SIGN_PATTERN_BITS, IqBuffer, half_sine_taps
 
 RB_POWER = 4  # modulation-stripping exponent for QPSK constellations
@@ -241,18 +239,9 @@ PREAMBLE_BLOCK = phy_frames.ANTIPODAL[
 PREAMBLE_BLOCK.flags.writeable = False
 
 
-def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> DemodReport:
-    """Full coherent chain; see the module docstring for the stage order."""
-    cfg = cfg or RxConfig()
-    counter = counter or RuntimeCounters()
-    buf = erase_non_finite(buf)
+def _detect(buf: IqBuffer, cfg: RxConfig, counter, report: DemodReport):
+    """The chain's detector for _rxtypes.receive (stages: module docstring)."""
     sps = buf.sps
-    z = buf.samples
-
-    report = DemodReport(mode="qpsk")
-    if z.size < 2 * sps:
-        return report
-
     # Chip-boundary sampling phase, rotation-immune (see module docstring).
     report.timing = msk_timing(buf)
     phi0 = report.timing.tau_hat
@@ -260,9 +249,9 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # Carrier estimation on raw symbol-spaced boundary samples, where the
     # MSK phase grid makes z^4 a pure tone at 4*f_d.
     t_sym = 2.0 * sps * buf.sample_period_s
-    sym_raw = z[phi0 :: 2 * sps]
+    sym_raw = buf.samples[phi0 :: 2 * sps]
     if sym_raw.size < MIN_CARRIER_SAMPLES:
-        return report
+        return None
     est = rb_carrier_estimate(sym_raw, t_sym, n_fft=cfg.n_fft)
     report.carrier = est
     counter.tally_fft(cfg.n_fft)
@@ -276,7 +265,7 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # by a zero estimate would give.
     gate_open = est.peak_to_median >= RB_CONFIDENCE_MIN
     # Chip decision r is chip r's filtered peak, one chip after its raw
-    # boundary: sample phi0 + (r+1)*sps, on finish_frame's early grid.
+    # boundary: sample phi0 + (r+1)*sps, on receive's early grid.
     f_hz = est.f_d_hat_hz if gate_open else 0.0
     x = matched_filter(buf, phase=phi0, f_hz=f_hz)
     # A nonzero frequency tunes the taps, which makes them complex.
@@ -304,7 +293,7 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # max keeps the first of equal peaks: parity 1 wins only on a strictly greater one.
     peak, m0, delta_hat, parity = max(candidates, key=lambda c: c[0])
     if not peak >= SYNC_THRESHOLD:
-        return report
+        return None
     rot = complex(np.exp(-1j * delta_hat))
     # Slice chips on their own rail axis, from the frame's first chip on;
     # the data-aided correlation angle removes the residual rotation, and
@@ -321,4 +310,9 @@ def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> Demo
     # chip k is the source chip.
     source = phy_frames.differential_decode(sliced)
     source[1::2] ^= 1
-    return finish_frame(report, source, start, sps, cfg, counter)
+    return source, start
+
+
+def demodulate(buf: IqBuffer, cfg: RxConfig | None = None, counter=None) -> DemodReport:
+    """Full coherent chain; see the module docstring for the stage order."""
+    return receive("qpsk", _detect, buf, cfg, counter)

@@ -490,12 +490,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.set_defaults(func=_cmd_complexity, parser=p_cx)
 
     p_st = sub.add_parser("selftest", help="quick loopback and arithmetic checks")
-    p_st.set_defaults(func=_cmd_selftest)
+    p_st.set_defaults(func=_cmd_selftest, parser=p_st)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # An unknown flag is refused by its command's parser, as a bad setting is.
+    args, unknown = build_parser().parse_known_args(argv)
+    with _usage_errors(args):
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
     return args.func(args)
 
 

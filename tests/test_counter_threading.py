@@ -1,9 +1,10 @@
 """Guard: receiver stages are pure functions of their inputs.
 
-Each chain books the stages it ran into its RuntimeCounters, so only the two
-demodulators and their shared frame tail take a `counter`.  A stage that
-booked its own tally from the inside would need one threaded through every
-signature between it and the chain.
+Each chain's detector books the stages it ran into its RuntimeCounters, so
+only the two demodulators, the pipeline they call (_rxtypes.receive) and
+the two detectors it runs take a `counter`.  A stage that booked its own
+tally from the inside would need one threaded through every signature
+between it and the chain.
 """
 
 import ast
@@ -11,7 +12,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dualmodem"
 
-BOOKED_BY = {"rx_qpsk.demodulate", "rx_msk.demodulate", "_rxtypes.finish_frame"}
+BOOKED_BY = {"rx_qpsk.demodulate", "rx_msk.demodulate", "_rxtypes.receive",
+             "rx_qpsk._detect", "rx_msk._detect"}
 
 
 def _functions(node, prefix):

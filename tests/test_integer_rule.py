@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from dualmodem import phy_frames, rx_msk, rx_qpsk, sim_harness
-from dualmodem._rxtypes import check_n_fft
 from dualmodem.channel_model import ChannelParams
-from dualmodem.complexity_meter import ComplexityParams
+from dualmodem.complexity_meter import ComplexityParams, check_n_fft
 from dualmodem.sim_harness import SweepConfig, ber_sweep
 from dualmodem.tx_oqpsk import IqBuffer, check_sps, half_sine_taps
 

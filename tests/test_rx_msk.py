@@ -1,7 +1,5 @@
 """Tests for the non-coherent MSK receiver chain."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -9,13 +7,12 @@ from dualmodem import phy_frames as pf
 from dualmodem._rxtypes import (
     SYNC_THRESHOLD,
     TIMING_WINDOW_SYMBOLS,
-    DemodReport,
     MskTimingStat,
     RxConfig,
     earliest_peak,
     erase_non_finite,
-    finish_frame,
     preamble_correlation,
+    receive,
 )
 from dualmodem.channel_model import ChannelParams, apply
 from dualmodem.complexity_meter import RuntimeCounters
@@ -29,7 +26,6 @@ from dualmodem.rx_msk import (
     msk_timing,
 )
 from dualmodem.rx_qpsk import PREAMBLE_BLOCK as QPSK_PREAMBLE_BLOCK
-from dualmodem.rx_qpsk import demodulate as demodulate_qpsk
 from dualmodem.tx_oqpsk import IqBuffer, modulate
 
 from frame_reference import frame_source_chips, preamble_correlation_reference
@@ -470,15 +466,19 @@ def test_demodulate_books_the_frame_sync_search_of_a_found_frame():
 
 
 # ---------------------------------------------------------------------------
-# Shared frame tail and degenerate input, both chains
+# The pipeline's frame tail, and the non-finite erase it starts with
 # ---------------------------------------------------------------------------
 
 
 def _finish(chips, start, tau_hat=0):
-    """finish_frame on source chips that begin at the frame's first chip,
-    decision `start` of the chain's grid."""
-    report = DemodReport(mode="msk", timing=MskTimingStat(v=np.ones(SPS), tau_hat=tau_hat))
-    return finish_frame(report, chips, start, SPS, RxConfig(40), RuntimeCounters())
+    """receive's frame tail on source chips that begin at the frame's first
+    chip, decision `start` of a fake detector's grid."""
+
+    def detect(buf, cfg, counter, report):
+        report.timing = MskTimingStat(v=np.ones(SPS), tau_hat=tau_hat)
+        return chips, start
+
+    return receive("msk", detect, _buf(np.ones(2 * SPS)), RxConfig(40), RuntimeCounters())
 
 
 def test_finish_frame_counts_preamble_matches():
@@ -515,42 +515,6 @@ def test_finish_frame_rejects_non_binary_chips():
         _finish(two_in_preamble, 0)
 
 
-@pytest.mark.parametrize("chain", [demodulate, demodulate_qpsk], ids=["msk", "qpsk"])
-@pytest.mark.parametrize("n_samples", [0, 1, SPS, 2 * SPS - 1])
-def test_demodulate_short_buffer_reports_no_frame(chain, n_samples):
-    report = chain(_buf(np.ones(n_samples)))
-    assert not report.frame_found
-    assert report.payload_bits is None
-
-
-@pytest.mark.parametrize("chain", [demodulate, demodulate_qpsk], ids=["msk", "qpsk"])
-def test_demodulate_all_nan_reports_no_frame(chain):
-    report = chain(_buf(np.full(14_856, np.nan)))
-    assert not report.frame_found
-    assert report.payload_bits is None
-
-
-@pytest.mark.parametrize("chain", [demodulate, demodulate_qpsk], ids=["msk", "qpsk"])
-@pytest.mark.parametrize(
-    "value",
-    [np.nan, complex(np.nan, 0.0), np.inf, -np.inf, 1j * np.inf],
-    ids=["nan", "nan+0j", "inf", "-inf", "1j*inf"],
-)
-def test_demodulate_erases_a_non_finite_sample(chain, value):
-    # One bad sample anywhere in a noiseless frame, the timing head and the
-    # two ends included, costs no bit and raises no warning.
-    payload = np.random.default_rng(4).integers(0, 2, 200).astype(np.uint8)
-    clean = _frame_buf(payload).samples
-    for index in (3, 100, 519, 520, 2_000, 7_000, clean.size - 1):
-        samples = clean.copy()
-        samples[index] = value
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = chain(_buf(samples))
-        assert report.frame_found and report.frame_start == 0, index
-        assert np.array_equal(report.payload_bits, payload), index
-
-
 def test_erase_non_finite_returns_a_finite_buffer_uncopied():
     buf = _frame_buf(np.zeros(8, dtype=np.uint8))
     assert erase_non_finite(buf) is buf
@@ -562,16 +526,3 @@ def test_erase_non_finite_returns_a_finite_buffer_uncopied():
     # A strided input is stored contiguous, so its samples read as floats.
     strided = _buf(buf.samples[::2])
     assert erase_non_finite(strided).samples[0] == 0
-
-
-@pytest.mark.parametrize("chain", [demodulate, demodulate_qpsk], ids=["msk", "qpsk"])
-def test_demodulate_ignores_nan_sync_lags(chain):
-    # One NaN inside the burst makes every later preamble-correlation lag NaN
-    # on the coherent chain; the true, earlier lag must still win.
-    payload = np.random.default_rng(3).integers(0, 2, 200).astype(np.uint8)
-    buf = apply(_frame_buf(payload), ChannelParams(tau_samples=1600))
-    buf.samples[9000] = np.nan
-    report = chain(buf)
-    assert report.frame_found
-    assert report.frame_start == 1600
-    assert np.array_equal(report.payload_bits, payload)

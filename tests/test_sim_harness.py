@@ -604,18 +604,25 @@ def test_cli_refuses_the_retired_exclude_missed_setting(tmp_path, monkeypatch, c
     # A missed frame always counts; a script that asks otherwise must fail
     # before any packet, never run a sweep that counts them silently.
     monkeypatch.setattr(sim_harness, "run_packet", None)
-    with pytest.raises(SystemExit) as info:
-        main(["sweep", *_ONE_PACKET, "--exclude-missed"])
-    assert info.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    # argparse's own refusal: a usage line, then one error line.
-    assert [line for line in err.splitlines() if "error" in line] == [
-        "dualmodem: error: unrecognized arguments: --exclude-missed"]
+    _usage_error(capsys, ["sweep", *_ONE_PACKET, "--exclude-missed"],
+                 "unrecognized arguments: --exclude-missed$")
     cfgfile = tmp_path / "s.cfg"
     cfgfile.write_text("exclude-missed = 1\n")
     _usage_error(capsys, ["sweep", *_ONE_PACKET, "--config", str(cfgfile)],
                  "unknown config key 'exclude_missed'")
+
+
+def test_cli_refuses_an_unknown_flag_in_its_command(tmp_path, monkeypatch, capsys):
+    # The command's own parser refuses the flag, before any packet runs.
+    monkeypatch.setattr(sim_harness, "run_packet", None)
+    path = tmp_path / "frame.iq"
+    iq_export(modulate(pf.build_frame(np.zeros(200, dtype=np.uint8))), path)
+    for argv, refused in ((["sweep", *_ONE_PACKET, "--bogus-flag"], "--bogus-flag"),
+                          (["decode", str(path), "--bogus"], "--bogus"),
+                          (["complexity", "--bogus"], "--bogus"),
+                          (["selftest", "--bogus", "x"], "--bogus x")):
+        err = _usage_error(capsys, argv)
+        assert err == f"dualmodem {argv[0]}: error: unrecognized arguments: {refused}\n"
 
 
 # {d} is a directory that holds frame.iq, a capture without its .meta sidecar.
