@@ -156,8 +156,8 @@ def receive(mode: str, detect, buf: IqBuffer, cfg: RxConfig | None = None,
     detect(buf, cfg, counter, report) sets report.timing, books its stages,
     and returns None when nothing syncs, or the frame's source (pre-encoding)
     chips from its first chip on and that chip's index, start, among its
-    decisions.  These start one chip early, so that a timing phase one sample
-    under the truth keeps the whole frame; it starts at sample
+    decisions.  The decisions start one chip early, so that a timing phase
+    one sample under the truth keeps the whole frame, which starts at sample
     report.timing.tau_hat + (start - 1) * sps.  Unless the chips end first,
     the tail counts the preamble chips that match (the SNR indicator: 256
     minus the Hamming distance) and despreads the payload.
